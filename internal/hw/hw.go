@@ -322,6 +322,10 @@ type Node struct {
 	name string
 	rng  *rand.Rand
 
+	// idle is computed once; demand and actual own their slices, which
+	// SetDemand and applyDemand overwrite in place — the per-tick path
+	// allocates nothing.
+	idle   Demand
 	demand Demand
 	actual Actual
 
@@ -352,8 +356,25 @@ func NewNode(name string, cfg Config, seed int64) (*Node, error) {
 	for i := range n.gpuCapEff {
 		n.gpuCapEff[i] = cfg.GPUMaxPowerW
 	}
-	n.demand = n.idleDemand()
-	n.applyDemand()
+	n.idle = Demand{
+		CPUW: make([]float64, cfg.Sockets),
+		MemW: cfg.MemIdleW,
+		GPUW: make([]float64, cfg.GPUs),
+	}
+	for i := range n.idle.CPUW {
+		n.idle.CPUW[i] = cfg.CPUIdleW
+	}
+	for i := range n.idle.GPUW {
+		n.idle.GPUW[i] = cfg.GPUIdleW
+	}
+	n.demand = Demand{CPUW: make([]float64, cfg.Sockets), GPUW: make([]float64, cfg.GPUs)}
+	n.actual = Actual{
+		CPUW:       make([]float64, cfg.Sockets),
+		GPUW:       make([]float64, cfg.GPUs),
+		GPULimited: make([]bool, cfg.GPUs),
+		CPULimited: make([]bool, cfg.Sockets),
+	}
+	n.SetIdle()
 	return n, nil
 }
 
@@ -363,32 +384,16 @@ func (n *Node) Name() string { return n.name }
 // Config returns the node's configuration.
 func (n *Node) Config() Config { return n.cfg }
 
-// idleDemand is the demand of a node running nothing.
-func (n *Node) idleDemand() Demand {
-	d := Demand{
-		CPUW: make([]float64, n.cfg.Sockets),
-		MemW: n.cfg.MemIdleW,
-		GPUW: make([]float64, n.cfg.GPUs),
-	}
-	for i := range d.CPUW {
-		d.CPUW[i] = n.cfg.CPUIdleW
-	}
-	for i := range d.GPUW {
-		d.GPUW[i] = n.cfg.GPUIdleW
-	}
-	return d
-}
-
 // SetDemand installs the application's current power demand and
 // immediately recomputes actual power. Missing slices are treated as idle;
-// per-component demands below the idle floor are raised to it.
+// per-component demands below the idle floor are raised to it. d is
+// copied: the caller keeps ownership of its slices.
 func (n *Node) SetDemand(d Demand) {
-	idle := n.idleDemand()
 	if d.CPUW == nil {
-		d.CPUW = idle.CPUW
+		d.CPUW = n.idle.CPUW
 	}
 	if d.GPUW == nil {
-		d.GPUW = idle.GPUW
+		d.GPUW = n.idle.GPUW
 	}
 	if len(d.CPUW) != n.cfg.Sockets {
 		panic(fmt.Sprintf("hw: demand has %d sockets, node %q has %d", len(d.CPUW), n.name, n.cfg.Sockets))
@@ -396,33 +401,27 @@ func (n *Node) SetDemand(d Demand) {
 	if len(d.GPUW) != n.cfg.GPUs {
 		panic(fmt.Sprintf("hw: demand has %d GPUs, node %q has %d", len(d.GPUW), n.name, n.cfg.GPUs))
 	}
-	cp := Demand{
-		CPUW: append([]float64(nil), d.CPUW...),
-		MemW: d.MemW,
-		GPUW: append([]float64(nil), d.GPUW...),
-	}
-	for i := range cp.CPUW {
-		if cp.CPUW[i] < idle.CPUW[i] {
-			cp.CPUW[i] = idle.CPUW[i]
+	for i, w := range d.CPUW {
+		if w < n.idle.CPUW[i] {
+			w = n.idle.CPUW[i]
 		}
+		n.demand.CPUW[i] = w
 	}
-	if cp.MemW < idle.MemW {
-		cp.MemW = idle.MemW
+	n.demand.MemW = d.MemW
+	if d.MemW < n.idle.MemW {
+		n.demand.MemW = n.idle.MemW
 	}
-	for i := range cp.GPUW {
-		if cp.GPUW[i] < idle.GPUW[i] {
-			cp.GPUW[i] = idle.GPUW[i]
+	for i, w := range d.GPUW {
+		if w < n.idle.GPUW[i] {
+			w = n.idle.GPUW[i]
 		}
+		n.demand.GPUW[i] = w
 	}
-	n.demand = cp
 	n.applyDemand()
 }
 
 // SetIdle resets the node to idle demand (job exited).
-func (n *Node) SetIdle() {
-	n.demand = n.idleDemand()
-	n.applyDemand()
-}
+func (n *Node) SetIdle() { n.SetDemand(n.idle) }
 
 // DerivedGPUCap returns the per-GPU power cap the IBM node-capping
 // algorithm derives from the current node-level cap (Table III). With no
@@ -573,19 +572,15 @@ func (n *Node) SocketCap(socket int) float64 { return n.cpuCapW[socket] }
 // applyDemand computes actual power from demand and caps.
 func (n *Node) applyDemand() {
 	d := n.demand
-	act := Actual{
-		CPUW:       make([]float64, n.cfg.Sockets),
-		GPUW:       make([]float64, n.cfg.GPUs),
-		GPULimited: make([]bool, n.cfg.GPUs),
-		CPULimited: make([]bool, n.cfg.Sockets),
-		MemW:       d.MemW,
-		UncoreW:    n.cfg.UncoreW,
-	}
+	act := n.actual // reuses the node-owned slices; every element is rewritten below
+	act.MemW = d.MemW
+	act.UncoreW = n.cfg.UncoreW
 	// GPUs first: per-GPU caps are hard limits.
 	gpuTotal := 0.0
 	for i := range act.GPUW {
 		cap := n.EffectiveGPUCap(i)
 		w := d.GPUW[i]
+		act.GPULimited[i] = false
 		if w > cap {
 			w = cap
 			act.GPULimited[i] = true
@@ -605,6 +600,7 @@ func (n *Node) applyDemand() {
 	}
 	for i := range act.CPUW {
 		w := d.CPUW[i]
+		act.CPULimited[i] = false
 		if cap := n.cpuCapW[i]; cap > 0 && w > cap {
 			w = cap
 			act.CPULimited[i] = true
@@ -629,7 +625,9 @@ func (n *Node) applyDemand() {
 	n.actual = act
 }
 
-// Actual returns the node's current actual power draw.
+// Actual returns the node's current actual power draw. Its slices are the
+// node's own and are overwritten by the next demand or cap change: read
+// them before that, or copy them.
 func (n *Node) Actual() Actual { return n.actual }
 
 // Read samples the node's sensors at the given instant, applying the

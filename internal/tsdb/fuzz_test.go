@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -103,25 +104,114 @@ func FuzzBlockDecode(f *testing.F) {
 	})
 }
 
-// TestFuzzCorpusCommitted keeps the seed corpus materialized under
-// testdata so CI's fuzz smoke starts from real block images even before
-// any local fuzzing has populated the cache.
-func TestFuzzCorpusCommitted(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzBlockDecode")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
+// tierLogSeeds builds the seed images for FuzzTierLogRecover: a real
+// tier log, the same log torn, bit-flipped, and carrying a well-framed
+// payload that is not a bucket, plus the degenerate inputs.
+func tierLogSeeds() [][]byte {
+	var log []byte
+	acc := tierAccum{period: 60}
+	for i := 0; i < 130; i++ { // four buckets: small images keep the fuzzer's minimizer quick
+		acc.push(mkSample(i))
 	}
-	for i, seed := range fuzzSeeds() {
-		path := filepath.Join(dir, string(rune('a'+i))+"-seed")
-		want := []byte("go test fuzz v1\n[]byte(" + quoteBytes(seed) + ")\n")
-		got, err := os.ReadFile(path)
-		if err == nil && bytes.Equal(got, want) {
-			continue
+	for _, r := range acc.out {
+		payload, err := json.Marshal(r)
+		if err != nil {
+			panic(err)
 		}
-		if err := os.WriteFile(path, want, 0o644); err != nil {
+		log = appendFrame(log, payload)
+	}
+	flip := append([]byte(nil), log...)
+	flip[len(flip)/2] ^= 0x10
+	alien := appendFrame(append([]byte(nil), log[:len(log)/2]...), []byte(`{"start_sec":"x"}`))
+	return [][]byte{log, log[:len(log)-7], flip, append(alien, log...),
+		appendFrame(nil, []byte("null")), appendFrame(nil, nil), {}, bytes.Repeat([]byte{0xFF}, 64)}
+}
+
+// FuzzTierLogRecover opens a store over an arbitrary tier log: recovery
+// must never fail or panic, must adopt exactly the buckets of the log's
+// clean decodable prefix and cut the file back to it, and a second Open
+// must find nothing left to repair.
+func FuzzTierLogRecover(f *testing.F) {
+	for _, seed := range tierLogSeeds() {
+		f.Add(seed)
+	}
+	cfg := Config{TierPeriodsSec: []float64{60}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payloads, clean, torn := splitFrames(data)
+		if clean > len(data) || (torn && clean == len(data)) {
+			t.Fatalf("splitFrames: clean=%d torn=%v for %d bytes", clean, torn, len(data))
+		}
+		var want []TierRec
+		prefix := 0
+		for _, payload := range payloads {
+			var r TierRec
+			if json.Unmarshal(payload, &r) != nil {
+				break
+			}
+			want = append(want, r)
+			prefix += 8 + len(payload)
+		}
+
+		dir := t.TempDir()
+		path := filepath.Join(dir, "tier-60.log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("materialized %s", path)
+		for pass := 1; pass <= 2; pass++ {
+			s, err := Open(dir, cfg)
+			if err != nil {
+				t.Fatalf("open %d: %v", pass, err)
+			}
+			got := s.TierRecords(60)
+			h := s.Health()
+			_ = s.SelectTier(60, 0, 1e6) // any window: must not panic on unsorted buckets
+			s.Crash()
+			if len(got) != len(want) || h.TierRecords != len(want) {
+				t.Fatalf("open %d: %d buckets (health %d), clean prefix holds %d", pass, len(got), h.TierRecords, len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("open %d: bucket %d = %+v, want %+v", pass, i, got[i], want[i])
+				}
+			}
+			if wantTorn := pass == 1 && prefix != len(data); (h.TornRecords == 1) != wantTorn {
+				t.Fatalf("open %d: TornRecords = %d with a %d-byte prefix of %d bytes", pass, h.TornRecords, prefix, len(data))
+			}
+			onDisk, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(onDisk, data[:prefix]) {
+				t.Fatalf("open %d: log is %d bytes, want the %d-byte clean prefix", pass, len(onDisk), prefix)
+			}
+		}
+	})
+}
+
+// TestFuzzCorpusCommitted keeps the seed corpora materialized under
+// testdata so CI's fuzz smokes start from real images even before any
+// local fuzzing has populated the cache.
+func TestFuzzCorpusCommitted(t *testing.T) {
+	for target, seeds := range map[string][][]byte{
+		"FuzzBlockDecode":    fuzzSeeds(),
+		"FuzzTierLogRecover": tierLogSeeds(),
+	} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for i, seed := range seeds {
+			path := filepath.Join(dir, string(rune('a'+i))+"-seed")
+			want := []byte("go test fuzz v1\n[]byte(" + quoteBytes(seed) + ")\n")
+			got, err := os.ReadFile(path)
+			if err == nil && bytes.Equal(got, want) {
+				continue
+			}
+			if err := os.WriteFile(path, want, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("materialized %s", path)
+		}
 	}
 }
 

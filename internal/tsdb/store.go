@@ -10,13 +10,15 @@
 // write truncates, never corrupts. Every BlockSamples samples the head
 // seals into an immutable Gorilla-compressed block file (delta-of-delta
 // timestamps, XOR-encoded per-component channels — see block.go), after
-// which the covered WAL segments are deleted. Sealed blocks compact in
-// the background into the same 1min/10min mean/max/min tier buckets the
-// in-memory archive keeps, persisted to append-only tier logs that are
-// never garbage-collected; GC then deletes sealed-block prefixes under a
-// size/age bound, but only blocks every tier has fully compacted —
-// deleted samples always live inside persisted buckets, which recovery
-// adopts wholesale, so no bucket is ever double-counted or half-rebuilt.
+// which the covered WAL segments are deleted. Each sealed head is folded
+// once, from memory, into the same 1min/10min mean/max/min tier buckets
+// the in-memory archive keeps; finalized buckets are persisted at the
+// next Maintain to append-only tier logs that are never
+// garbage-collected and are read back from disk, not mirrored in memory.
+// GC then deletes sealed-block prefixes under a size/age bound, but only
+// blocks every tier has fully persisted — deleted samples always live
+// inside persisted buckets, which recovery adopts wholesale, so no
+// bucket is ever double-counted or half-rebuilt.
 //
 // The store is safe for concurrent use and deliberately simtime-agnostic:
 // callers pass sample-time seconds into Maintain/GC, so the same code
@@ -155,8 +157,7 @@ type Store struct {
 	lastAppendTs  float64
 	lastDurableTs float64
 
-	tierRecs         map[float64][]TierRec
-	compactedThrough map[float64]float64 // per period: EndSec of last emitted bucket
+	tiers []*tierState // one per configured period, in Config order
 
 	gcLostTs float64 // newest sample timestamp lost to GC; -Inf when none
 
@@ -170,22 +171,18 @@ type Store struct {
 
 var errClosed = fmt.Errorf("tsdb: store is closed")
 
-// Open creates or recovers the store in dir. Recovery replays sealed
-// blocks, then the WAL (skipping records already covered by blocks,
-// truncating a torn tail), then the tier logs — everything fsynced
-// before the crash comes back, in order, byte-exactly.
+// Open creates or recovers the store in dir. Recovery loads the sealed
+// block index, then the tier logs' resident summaries, primes the tier
+// accumulators from the newest blocks (see primeTiers), then replays the
+// WAL (skipping records already covered by blocks, truncating a torn
+// tail) — everything fsynced before the crash comes back, in order,
+// byte-exactly.
 func Open(dir string, cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{
-		dir:              dir,
-		cfg:              cfg,
-		tierRecs:         make(map[float64][]TierRec),
-		compactedThrough: make(map[float64]float64),
-		gcLostTs:         math.Inf(-1),
-	}
+	s := &Store{dir: dir, cfg: cfg, gcLostTs: math.Inf(-1)}
 	var meta storeMeta
 	if data, err := os.ReadFile(s.metaPath()); err == nil {
 		if json.Unmarshal(data, &meta) == nil {
@@ -203,11 +200,17 @@ func Open(dir string, cfg Config) (*Store, error) {
 		// retained block is gone; its minTs is the conservative watermark.
 		s.gcLostTs = s.blocks[0].minTs
 	}
+	hadState := false
 	for _, p := range cfg.TierPeriodsSec {
-		s.compactedThrough[p] = math.Inf(-1)
-		if err := s.recoverTierLog(p); err != nil {
+		t := &tierState{acc: tierAccum{period: p}, through: math.Inf(-1)}
+		if err := s.recoverTierLog(t); err != nil {
 			return nil, err
 		}
+		s.tiers = append(s.tiers, t)
+		hadState = hadState || t.count > 0
+	}
+	if err := s.primeTiers(); err != nil {
+		return nil, err
 	}
 	if err := s.recoverWAL(); err != nil {
 		return nil, err
@@ -219,11 +222,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 		s.lastAppendTs = s.blocks[len(s.blocks)-1].maxTs
 	}
 	s.lastDurableTs = s.lastAppendTs
-	hadState := len(s.blocks) > 0 || len(s.segments) > 0 || len(s.head) > 0
-	for _, recs := range s.tierRecs {
-		hadState = hadState || len(recs) > 0
-	}
-	if hadState {
+	if hadState || len(s.blocks) > 0 || len(s.segments) > 0 || len(s.head) > 0 {
 		s.recoveries++
 	}
 	wal, err := openSegment(dir, s.appended)
@@ -405,10 +404,13 @@ func (s *Store) tierLogPath(period float64) string {
 	return filepath.Join(s.dir, "tier-"+strconv.FormatFloat(period, 'g', -1, 64)+".log")
 }
 
-// recoverTierLog loads one tier's persisted buckets, truncating a torn
-// tail and rewriting the log if a framed payload fails to decode.
-func (s *Store) recoverTierLog(period float64) error {
-	path := s.tierLogPath(period)
+// recoverTierLog rebuilds one tier's resident summary from its log,
+// cutting the log back to its clean prefix: at a torn tail, or at the
+// first framed payload that fails to decode. Both are a truncate to a
+// frame boundary — the kept bytes are never rewritten, so no crash can
+// leave the log shorter than that prefix.
+func (s *Store) recoverTierLog(t *tierState) error {
+	path := s.tierLogPath(t.acc.period)
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil
@@ -416,39 +418,18 @@ func (s *Store) recoverTierLog(period float64) error {
 	if err != nil {
 		return err
 	}
-	payloads, clean, torn := splitFrames(data)
-	if torn {
-		s.tornRecords++
-		_ = os.Truncate(path, int64(clean))
-	}
-	var recs []TierRec
-	rewrite := false
+	payloads, _, torn := splitFrames(data)
 	for _, payload := range payloads {
 		var r TierRec
 		if err := json.Unmarshal(payload, &r); err != nil {
-			rewrite = true
+			torn = true
 			break
 		}
-		recs = append(recs, r)
+		t.adopt(r, len(payload))
 	}
-	if rewrite {
-		var buf []byte
-		for _, r := range recs {
-			payload, err := json.Marshal(r)
-			if err != nil {
-				return err
-			}
-			buf = appendFrame(buf, payload)
-		}
-		if err := os.WriteFile(path, buf, 0o644); err != nil {
-			return err
-		}
-	}
-	s.tierRecs[period] = recs
-	for _, r := range recs {
-		if r.EndSec > s.compactedThrough[period] {
-			s.compactedThrough[period] = r.EndSec
-		}
+	if torn {
+		s.tornRecords++
+		return os.Truncate(path, t.size)
 	}
 	return nil
 }
@@ -527,19 +508,7 @@ func (s *Store) seal() error {
 		return err
 	}
 	path := filepath.Join(s.dir, blockName(s.sealed))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(img); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeSyncAt(path, os.O_TRUNC, img, 0); err != nil {
 		return err
 	}
 	minTs, maxTs := s.head[0].Timestamp, s.head[0].Timestamp
@@ -553,6 +522,7 @@ func (s *Store) seal() error {
 	})
 	s.blockBytes += int64(len(img))
 	s.sealed += uint64(len(s.head))
+	s.foldSealed(s.head)
 	s.head = nil
 	if s.durable < s.sealed {
 		s.durable = s.sealed
@@ -597,9 +567,11 @@ func (s *Store) syncLocked() error {
 	return nil
 }
 
-// Maintain is the owner's periodic housekeeping: sync, compact sealed
-// blocks into tier buckets, then GC old blocks. nowSec is the caller's
-// notion of sample-time now, used only by the age bound.
+// Maintain is the owner's periodic housekeeping: sync the WAL, persist
+// the tier buckets that seals have finalized since the last pass, then
+// GC old blocks. Its cost follows what arrived since the last pass: with
+// no new seal it is the WAL fsync alone and reads no block file. nowSec
+// is the caller's notion of sample-time now, used only by the age bound.
 func (s *Store) Maintain(nowSec float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -609,7 +581,7 @@ func (s *Store) Maintain(nowSec float64) error {
 	if err := s.syncLocked(); err != nil {
 		return err
 	}
-	if err := s.compactLocked(); err != nil {
+	if err := s.flushTiersLocked(); err != nil {
 		return err
 	}
 	return s.gcLocked(nowSec)
@@ -634,13 +606,9 @@ func (s *Store) SelectRange(min, max float64) ([]variorum.NodePower, error) {
 		if b.minTs > max {
 			break
 		}
-		data, err := os.ReadFile(b.path)
+		samples, err := readBlock(b.path)
 		if err != nil {
 			return nil, err
-		}
-		_, samples, err := decodeBlock(data)
-		if err != nil {
-			return nil, fmt.Errorf("tsdb: block %s: %w", filepath.Base(b.path), err)
 		}
 		for _, p := range samples {
 			if p.Timestamp >= min && p.Timestamp <= max {
@@ -656,19 +624,28 @@ func (s *Store) SelectRange(min, max float64) ([]variorum.NodePower, error) {
 	return out, nil
 }
 
+// readBlock reads and decodes one sealed block file.
+func readBlock(path string) ([]variorum.NodePower, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	_, samples, err := decodeBlock(data)
+	if err != nil {
+		return nil, fmt.Errorf("tsdb: block %s: %w", filepath.Base(path), err)
+	}
+	return samples, nil
+}
+
 // All returns every stored sample, oldest first.
 func (s *Store) All() ([]variorum.NodePower, error) {
 	return s.SelectRange(math.Inf(-1), math.Inf(1))
 }
 
 // TierRecords returns the persisted compaction buckets for one period,
-// oldest first.
+// oldest first, read back from the tier log.
 func (s *Store) TierRecords(periodSec float64) []TierRec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]TierRec, len(s.tierRecs[periodSec]))
-	copy(out, s.tierRecs[periodSec])
-	return out
+	return s.SelectTier(periodSec, math.Inf(-1), math.Inf(1))
 }
 
 // TierPeriods returns the configured compaction periods, finest first —
@@ -686,20 +663,12 @@ func (s *Store) TierPeriods() []float64 {
 // EndSec > start and StartSec <= end. Buckets are retained forever (GC
 // deletes raw blocks, never tier logs), so this is the read path for
 // windows that have aged out of both the raw ring and the raw blocks.
-// The records are sorted and non-overlapping, so the window is two
-// binary searches plus a copy, not a scan.
+// Only the byte range of the log that the resident index brackets is
+// read (see readTier).
 func (s *Store) SelectTier(periodSec, start, end float64) []TierRec {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs := s.tierRecs[periodSec]
-	lo := sort.Search(len(recs), func(i int) bool { return recs[i].EndSec > start })
-	hi := sort.Search(len(recs), func(i int) bool { return recs[i].StartSec > end })
-	if hi < lo {
-		hi = lo
-	}
-	out := make([]TierRec, hi-lo)
-	copy(out, recs[lo:hi])
-	return out
+	return s.readTier(s.tier(periodSec), start, end)
 }
 
 // TierCoverage reports how far back one period's persisted buckets
@@ -708,11 +677,11 @@ func (s *Store) SelectTier(periodSec, start, end float64) []TierRec {
 func (s *Store) TierCoverage(periodSec float64) (firstStartSec, lastEndSec float64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs := s.tierRecs[periodSec]
-	if len(recs) == 0 {
+	t := s.tier(periodSec)
+	if t == nil || t.count == 0 {
 		return 0, 0, false
 	}
-	return recs[0].StartSec, recs[len(recs)-1].EndSec, true
+	return t.first, t.through, true
 }
 
 // Covers reports whether the store still holds everything at or after
@@ -757,9 +726,8 @@ func (s *Store) Health() Health {
 		h.BytesOnDisk += s.wal.syncedBytes
 		h.Segments++
 	}
-	for p, recs := range s.tierRecs {
-		h.TierRecords += len(recs)
-		_ = p
+	for _, t := range s.tiers {
+		h.TierRecords += t.count
 	}
 	if !math.IsInf(s.gcLostTs, -1) {
 		h.GCLostSec = s.gcLostTs
