@@ -11,7 +11,8 @@ import (
 // TierSpec configures one downsampled archive tier: samples are folded
 // into fixed Period buckets, and the newest Buckets buckets are kept.
 // Retention is therefore Period × Buckets — coarser tiers remember
-// further back at lower resolution.
+// further back at lower resolution. Buckets is a bound: the tier's ring
+// grows to it as buckets finalize.
 type TierSpec struct {
 	Period  time.Duration
 	Buckets int
@@ -32,24 +33,11 @@ func DefaultTiers() []TierSpec {
 // before the archive prefers a downsampled tier for aggregate queries.
 const DefaultMaxRawPoints = 10_000
 
-// TierSample is one finalized archive bucket: the mergeable
-// per-component summary of every raw sample whose timestamp fell in
-// [StartSec, EndSec), plus the trapezoid energy of the segment.
-type TierSample struct {
-	StartSec float64           `json:"start_sec"`
-	EndSec   float64           `json:"end_sec"`
-	Power    variorum.PowerAgg `json:"power"`
-	EnergyJ  float64           `json:"energy_j"`
-}
-
-// tier accumulates one downsampling resolution.
+// tier is one downsampling resolution: the shared fold plus a ring of
+// the buckets it finalized.
 type tier struct {
-	spec   TierSpec
-	ring   *ringbuf.Ring[TierSample]
-	cur    TierSample
-	curSet bool
-	lastTS float64 // previous sample, for trapezoid energy
-	lastW  float64
+	fold variorum.Fold
+	ring *ringbuf.Ring[variorum.Bucket]
 	// lostEndSec is the coverage watermark: the EndSec of the newest
 	// bucket this tier has lost (to ring eviction, or known-missing at
 	// restore time). -Inf means nothing was ever lost. Tracking loss
@@ -87,8 +75,8 @@ func newArchive(rawSamples int, sampleInterval time.Duration, specs []TierSpec, 
 			continue
 		}
 		a.tiers = append(a.tiers, &tier{
-			spec:       s,
-			ring:       ringbuf.New[TierSample](s.Buckets),
+			fold:       variorum.Fold{PeriodSec: s.Period.Seconds()},
+			ring:       ringbuf.New[variorum.Bucket](s.Buckets),
 			lostEndSec: math.Inf(-1),
 		})
 	}
@@ -110,7 +98,7 @@ func (a *archive) push(p variorum.NodePower) {
 
 // pushBucket retires a finalized bucket into the tier ring, advancing
 // the loss watermark past whatever the ring evicts to make room.
-func (t *tier) pushBucket(b TierSample) {
+func (t *tier) pushBucket(b variorum.Bucket) {
 	if t.ring.Len() == t.ring.Cap() {
 		if oldest, ok := t.ring.Oldest(); ok && oldest.EndSec > t.lostEndSec {
 			t.lostEndSec = oldest.EndSec
@@ -120,31 +108,16 @@ func (t *tier) pushBucket(b TierSample) {
 }
 
 func (t *tier) push(p variorum.NodePower) {
-	period := t.spec.Period.Seconds()
-	bucketStart := float64(int64(p.Timestamp/period)) * period
-	if t.curSet && bucketStart != t.cur.StartSec {
-		t.pushBucket(t.cur)
-		t.curSet = false
+	if b, ok := t.fold.Push(p); ok {
+		t.pushBucket(b)
 	}
-	if !t.curSet {
-		t.cur = TierSample{StartSec: bucketStart, EndSec: bucketStart + period}
-		t.curSet = true
-	}
-	w := p.TotalWatts()
-	if t.lastTS > 0 && p.Timestamp > t.lastTS {
-		// The inter-sample energy segment lands in the bucket where it
-		// ends; a boundary-crossing segment is charged to the new bucket.
-		t.cur.EnergyJ += (p.Timestamp - t.lastTS) * (w + t.lastW) / 2
-	}
-	t.cur.Power.Add(p)
-	t.lastTS, t.lastW = p.Timestamp, w
 }
 
 // buckets returns the tier's finalized buckets intersecting [start, end],
 // plus the still-accumulating bucket if it intersects too.
-func (t *tier) buckets(start, end float64) []TierSample {
-	out := t.ring.SelectRange(start-t.spec.Period.Seconds(), end,
-		func(s TierSample) float64 { return s.StartSec })
+func (t *tier) buckets(start, end float64) []variorum.Bucket {
+	out := t.ring.SelectRange(start-t.fold.PeriodSec, end,
+		func(b variorum.Bucket) float64 { return b.StartSec })
 	// SelectRange keyed on StartSec over-selects by up to one period at
 	// the left edge; drop buckets that end before the window starts.
 	keep := out[:0]
@@ -154,8 +127,8 @@ func (t *tier) buckets(start, end float64) []TierSample {
 		}
 	}
 	out = keep
-	if t.curSet && t.cur.StartSec <= end && t.cur.EndSec > start {
-		out = append(out, t.cur)
+	if cur, ok := t.fold.Current(); ok && cur.StartSec <= end && cur.EndSec > start {
+		out = append(out, cur)
 	}
 	return out
 }
@@ -183,7 +156,7 @@ func (a *archive) rawCovers(start float64) bool {
 // tier only past its last adopted bucket, so nothing double-counts. The
 // only tolerated drift is the one inter-sample energy segment at each
 // tier's replay seam, the same segment a cold start drops.
-func (a *archive) restore(samples []variorum.NodePower, lostBefore float64, tiers map[float64][]TierSample) {
+func (a *archive) restore(samples []variorum.NodePower, lostBefore float64, tiers map[float64][]variorum.Bucket) {
 	if lostBefore > a.rawLostTs {
 		a.rawLostTs = lostBefore
 	}
@@ -197,7 +170,7 @@ func (a *archive) restore(samples []variorum.NodePower, lostBefore float64, tier
 	a.raw.PushAll(samples)
 	for _, t := range a.tiers {
 		replayFrom := math.Inf(-1)
-		for _, b := range tiers[t.spec.Period.Seconds()] {
+		for _, b := range tiers[t.fold.PeriodSec] {
 			t.pushBucket(b)
 			if b.EndSec > replayFrom {
 				replayFrom = b.EndSec
@@ -264,7 +237,7 @@ func (a *archive) aggregateRaw(start, end float64) windowAgg {
 }
 
 func (t *tier) aggregate(start, end float64) windowAgg {
-	out := windowAgg{TierSec: t.spec.Period.Seconds(), Complete: t.covers(start)}
+	out := windowAgg{TierSec: t.fold.PeriodSec, Complete: t.covers(start)}
 	for _, b := range t.buckets(start, end) {
 		out.Power.Merge(b.Power)
 		out.EnergyJ += b.EnergyJ
@@ -285,15 +258,15 @@ func (a *archive) stats() []tierStats {
 	out := make([]tierStats, 0, len(a.tiers))
 	for _, t := range a.tiers {
 		ts := tierStats{
-			PeriodSec: t.spec.Period.Seconds(),
+			PeriodSec: t.fold.PeriodSec,
 			Buckets:   t.ring.Len(),
 			Capacity:  t.ring.Cap(),
 			Evicted:   t.ring.Evicted(),
 		}
 		if oldest, ok := t.ring.Oldest(); ok {
 			ts.OldestSec = oldest.StartSec
-		} else if t.curSet {
-			ts.OldestSec = t.cur.StartSec
+		} else if cur, ok := t.fold.Current(); ok {
+			ts.OldestSec = cur.StartSec
 		}
 		out = append(out, ts)
 	}

@@ -2,6 +2,7 @@ package powermon
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -30,8 +31,8 @@ func TestTierBucketing(t *testing.T) {
 	if got := tr.ring.Len(); got != 3 {
 		t.Fatalf("finalized buckets: %d, want 3", got)
 	}
-	if !tr.curSet || tr.cur.StartSec != 30 {
-		t.Fatalf("current bucket: set=%v start=%v", tr.curSet, tr.cur.StartSec)
+	if cur, ok := tr.fold.Current(); !ok || cur.StartSec != 30 {
+		t.Fatalf("current bucket: set=%v start=%v", ok, cur.StartSec)
 	}
 	oldest, _ := tr.ring.Oldest()
 	// Bucket [0,10) saw samples at 2..8 (ts=10 belongs to the next bucket).
@@ -164,6 +165,34 @@ func TestAggregateNoTiersFallsBackToRaw(t *testing.T) {
 	}
 	if wa.Power.Node.Count != 5 {
 		t.Fatalf("raw fallback count: %d, want 5 (ring size)", wa.Power.Node.Count)
+	}
+}
+
+// TestDefaultArchiveFootprint: the paper's ring size (§III-A) is a bound,
+// not a footprint. A module with the default 100 000-sample ring and
+// both default tiers retains a few bytes after its first sample, where
+// allocating the bounds up front would cost ~15.6 MB.
+func TestDefaultArchiveFootprint(t *testing.T) {
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := liveHeap()
+	m := New(Config{})
+	m.arch.push(sample(2, 100))
+	retained := liveHeap() - before
+	if m.arch.raw.Cap() != DefaultBufferSamples || m.arch.raw.Len() != 1 {
+		t.Fatalf("raw ring %d/%d, want 1/%d", m.arch.raw.Len(), m.arch.raw.Cap(), DefaultBufferSamples)
+	}
+	for i, spec := range DefaultTiers() {
+		if got := m.arch.tiers[i].ring.Cap(); got != spec.Buckets {
+			t.Fatalf("tier %v holds up to %d buckets, want %d", spec.Period, got, spec.Buckets)
+		}
+	}
+	if retained > 64<<10 {
+		t.Fatalf("default module retains %d KB after one sample, want < 64 KB", retained>>10)
 	}
 }
 

@@ -118,12 +118,12 @@ func TestCoverageAfterRestore(t *testing.T) {
 	// Adopted tier buckets beyond ring capacity advance the tier
 	// watermark exactly like live eviction.
 	c := newArchive(100, 2*time.Second, []TierSpec{{Period: time.Minute, Buckets: 2}}, 0)
-	buckets := []TierSample{
+	buckets := []variorum.Bucket{
 		{StartSec: 0, EndSec: 60},
 		{StartSec: 60, EndSec: 120},
 		{StartSec: 120, EndSec: 180},
 	}
-	c.restore(nil, math.Inf(-1), map[float64][]TierSample{60: buckets})
+	c.restore(nil, math.Inf(-1), map[float64][]variorum.Bucket{60: buckets})
 	tr := c.tiers[0]
 	if tr.covers(59) {
 		t.Fatalf("tier covers evicted adopted bucket (watermark %v)", tr.lostEndSec)
@@ -146,11 +146,11 @@ func TestRestoreTierReplayNoDoubleCount(t *testing.T) {
 	}
 
 	// Recovered: the first bucket arrives persisted, the rest replay raw.
-	liveBuckets := live.tiers[0].ring.Snapshot()
+	liveBuckets := ringBuckets(live.tiers[0])
 	rec := newArchive(1000, 2*time.Second, []TierSpec{{Period: time.Minute, Buckets: 10}}, 0)
-	rec.restore(samples, math.Inf(-1), map[float64][]TierSample{60: {liveBuckets[0]}})
+	rec.restore(samples, math.Inf(-1), map[float64][]variorum.Bucket{60: {liveBuckets[0]}})
 
-	recBuckets := rec.tiers[0].ring.Snapshot()
+	recBuckets := ringBuckets(rec.tiers[0])
 	if len(recBuckets) != len(liveBuckets) {
 		t.Fatalf("recovered %d buckets, live has %d", len(recBuckets), len(liveBuckets))
 	}
@@ -168,4 +168,14 @@ func TestRestoreTierReplayNoDoubleCount(t *testing.T) {
 			t.Fatalf("bucket %d energy %v, want %v", i, rb.EnergyJ, lb.EnergyJ)
 		}
 	}
+}
+
+// ringBuckets copies a tier's finalized buckets out of its ring, oldest
+// first.
+func ringBuckets(t *tier) []variorum.Bucket {
+	out := make([]variorum.Bucket, t.ring.Len())
+	for i := range out {
+		out[i] = t.ring.At(i)
+	}
+	return out
 }

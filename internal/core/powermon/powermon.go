@@ -10,11 +10,13 @@
 // the TBON. Keeping the hot path free of job tracking is what buys the
 // paper's 0.4% average overhead.
 //
-// Defaults follow the paper: one sample every 2 seconds, a ring sized for
+// Defaults follow the paper: one sample every 2 seconds, a ring bounded at
 // 100,000 samples per node (~43.4 MB of Variorum JSON on the real system).
-// The client receives a CSV with one row per (node, sample) and a column
-// stating whether the buffer still held the job's full window or only a
-// partial one.
+// That figure is a ceiling, not a footprint: the ring and the archive
+// tiers below grow to their bounds as samples arrive, so an agent holds
+// what it has sampled and no more. The client receives a CSV with one row
+// per (node, sample) and a column stating whether the buffer still held
+// the job's full window or only a partial one.
 //
 // Beyond the paper's flat gather, each node agent also maintains
 // downsampled archive tiers (mean/max/min per component per bucket), and
@@ -321,12 +323,9 @@ func (m *Module) recoverFromStore() error {
 	if err != nil {
 		return err
 	}
-	tiers := make(map[float64][]TierSample)
+	tiers := make(map[float64][]variorum.Bucket)
 	for _, t := range m.arch.tiers {
-		p := t.spec.Period.Seconds()
-		for _, r := range m.store.TierRecords(p) {
-			tiers[p] = append(tiers[p], TierSample(r))
-		}
+		tiers[t.fold.PeriodSec] = m.store.TierRecords(t.fold.PeriodSec)
 	}
 	m.arch.restore(all, m.store.LostBeforeSec(), tiers)
 	return nil

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"fluxpower/internal/query"
-	"fluxpower/internal/tsdb"
 	"fluxpower/internal/variorum"
 )
 
@@ -32,7 +31,7 @@ func (m *Module) QueryMeta() query.SourceMeta {
 	}
 	for _, t := range m.arch.tiers {
 		meta.Tiers = append(meta.Tiers, query.TierMeta{
-			PeriodSec:  t.spec.Period.Seconds(),
+			PeriodSec:  t.fold.PeriodSec,
 			LostEndSec: t.lostEndSec,
 		})
 	}
@@ -87,30 +86,14 @@ func (m *Module) QueryTier(periodSec float64, durable bool, start, end float64) 
 		if st == nil {
 			return nil
 		}
-		return bucketsFromTierRecs(st.SelectTier(periodSec, start, end))
+		return st.SelectTier(periodSec, start, end)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, t := range m.arch.tiers {
-		if t.spec.Period.Seconds() == periodSec {
-			return bucketsFromTierSamples(t.buckets(start, end))
+		if t.fold.PeriodSec == periodSec {
+			return t.buckets(start, end)
 		}
 	}
 	return nil
-}
-
-func bucketsFromTierSamples(in []TierSample) []query.Bucket {
-	out := make([]query.Bucket, len(in))
-	for i, b := range in {
-		out[i] = query.Bucket(b)
-	}
-	return out
-}
-
-func bucketsFromTierRecs(in []tsdb.TierRec) []query.Bucket {
-	out := make([]query.Bucket, len(in))
-	for i, b := range in {
-		out[i] = query.Bucket(b)
-	}
-	return out
 }

@@ -167,29 +167,48 @@ func (f *Future) resolve(m *msg.Message) {
 }
 
 // expire completes the future with ETIMEDOUT and bumps the broker's
-// timeout counter. Safe to call on an already-resolved future.
+// timeout counter. The counter moves only when this call wins the
+// completion, and before the waiters wake, so a caller returning from
+// Wait with ErrTimeout always sees its timeout counted. Safe to call on
+// an already-resolved future.
 func (f *Future) expire() {
 	resp := msg.NewErrorResponse(f.requestStub(), f.b.rank, msg.ETIMEDOUT, "rpc deadline exceeded")
 	err := fmt.Errorf("%w: %q to rank %d", ErrTimeout, f.topic, f.nodeID)
-	if f.complete(resp, err) {
-		f.b.mu.Lock()
-		f.b.stats.RPCTimeouts++
-		f.b.mu.Unlock()
+	if !f.claim(resp, err) {
+		return
 	}
+	f.b.mu.Lock()
+	f.b.stats.RPCTimeouts++
+	f.b.mu.Unlock()
+	f.finish()
 }
 
 // complete is the single resolution point: first caller wins, later calls
-// are no-ops. It detaches the future from the deadline wheel and runs any
-// registered callbacks.
-func (f *Future) complete(resp *msg.Message, err error) bool {
+// are no-ops.
+func (f *Future) complete(resp *msg.Message, err error) {
+	if f.claim(resp, err) {
+		f.finish()
+	}
+}
+
+// claim records the outcome unless the future already has one, and
+// reports whether this call won. Waiters wake only at finish.
+func (f *Future) claim(resp *msg.Message, err error) bool {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.resolved {
-		f.mu.Unlock()
 		return false
 	}
 	f.resolved = true
 	f.resp, f.err = resp, err
-	cbs := f.cbs
+	return true
+}
+
+// finish wakes the waiters of a claimed future, detaches it from the
+// deadline wheel and runs any registered callbacks.
+func (f *Future) finish() {
+	f.mu.Lock()
+	cbs, resp := f.cbs, f.resp
 	f.cbs = nil
 	wheel, tick := f.wheel, f.wheelTick
 	f.wheel = nil
@@ -201,7 +220,6 @@ func (f *Future) complete(resp *msg.Message, err error) bool {
 	for _, cb := range cbs {
 		cb(resp)
 	}
-	return true
 }
 
 // requestStub reconstructs enough of the original request for error

@@ -9,18 +9,9 @@ import (
 )
 
 // Bucket is one downsampled archive bucket, the engine's resolution-
-// independent record: struct-identical to powermon.TierSample and
-// tsdb.TierRec so sources convert by plain assignment.
-type Bucket struct {
-	StartSec float64           `json:"start_sec"`
-	EndSec   float64           `json:"end_sec"`
-	Power    variorum.PowerAgg `json:"power"`
-	EnergyJ  float64           `json:"energy_j"`
-}
-
-// MidSec is the bucket's midpoint, the timestamp job attribution and
-// rate evaluation assign the whole bucket to.
-func (b Bucket) MidSec() float64 { return (b.StartSec + b.EndSec) / 2 }
+// independent record: the same type the in-memory tiers and the durable
+// tier logs hold, so sources hand their buckets over without a copy.
+type Bucket = variorum.Bucket
 
 // TierMeta describes one downsampled tier a node can answer from.
 type TierMeta struct {

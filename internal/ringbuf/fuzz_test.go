@@ -6,11 +6,15 @@ import (
 	"testing"
 )
 
-// FuzzSelectRange cross-checks the binary-search window query against the
-// reference predicate scan on fuzzer-chosen ring shapes: capacity, number
-// of pushes (driving wrap-around and eviction), key spacing and query
-// window all vary. The property is exact agreement — SelectRange exists
-// only as a faster Select for monotonic keys, so any divergence is a bug.
+// FuzzSelectRange cross-checks the binary-search window query against
+// the brute-force scan over At on fuzzer-chosen ring shapes: capacity,
+// number of pushes (driving growth, wrap-around and eviction), key
+// spacing and query window all vary. The ring starts partly filled one
+// Push at a time and takes the rest of the keys in one PushAll, which
+// may grow it and cross its capacity; the eager reference ring takes
+// every key by Push and must end up holding the same elements. The
+// property is exact agreement — SelectRange exists only as a faster
+// scan for monotonic keys, so any divergence is a bug.
 func FuzzSelectRange(f *testing.F) {
 	f.Add(int64(8), int64(5), 1.0, 3.0, int64(1))
 	f.Add(int64(4), int64(16), 0.0, 100.0, int64(2)) // wrapped several times
@@ -31,24 +35,43 @@ func FuzzSelectRange(f *testing.F) {
 		if math.IsNaN(min) || math.IsNaN(max) {
 			return // a NaN window violates sort.Search's predicate contract
 		}
-		r := New[float64](int(capacity))
 		// Non-decreasing keys with seed-dependent spacing, including runs
 		// of duplicates — the shape of monotonic sample timestamps.
+		keys := make([]float64, pushes)
 		key := 0.0
-		for i := int64(0); i < pushes; i++ {
-			gap := float64((gapSeed+i)%7) / 2 // 0, .5, 1, ... incl. repeats
+		for i := range keys {
+			gap := float64((gapSeed+int64(i))%7) / 2 // 0, .5, 1, ... incl. repeats
 			if gap < 0 {
 				gap = -gap
 			}
 			key += gap
-			r.Push(key)
+			keys[i] = key
+		}
+		r := New[float64](int(capacity))
+		ref := newEager[float64](int(capacity))
+		pre := int(uint64(gapSeed) % uint64(pushes+1))
+		for _, k := range keys[:pre] {
+			r.Push(k)
+		}
+		r.PushAll(keys[pre:])
+		for _, k := range keys {
+			ref.push(k)
+		}
+		if r.Len() != ref.length || r.Evicted() != ref.evicted {
+			t.Fatalf("cap=%d pushes=%d split=%d: len/evicted %d/%d, eager %d/%d",
+				capacity, pushes, pre, r.Len(), r.Evicted(), ref.length, ref.evicted)
+		}
+		for i := 0; i < ref.length; i++ {
+			if r.At(i) != ref.at(i) {
+				t.Fatalf("cap=%d pushes=%d split=%d: At(%d)=%v, eager %v", capacity, pushes, pre, i, r.At(i), ref.at(i))
+			}
 		}
 
 		id := func(v float64) float64 { return v }
 		got := r.SelectRange(min, max, id)
-		want := r.Select(func(v float64) bool { return v >= min && v <= max })
+		want := scan(r, min, max, id)
 		if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("SelectRange disagrees with Select scan:\ncap=%d pushes=%d window=[%v,%v]\nfast: %v\nscan: %v",
+			t.Fatalf("SelectRange disagrees with the scan:\ncap=%d pushes=%d window=[%v,%v]\nfast: %v\nscan: %v",
 				capacity, pushes, min, max, got, want)
 		}
 

@@ -1,9 +1,12 @@
-// Package ringbuf implements the fixed-capacity circular buffer used by
-// the flux-power-monitor node agent (paper §III-A).
+// Package ringbuf implements the bounded circular buffer used by the
+// flux-power-monitor node agent (paper §III-A).
 //
 // The node agent stores one power sample every sampling interval in a ring
 // of configurable size (the paper's default holds 100,000 Variorum JSON
-// samples, ~43.4 MB). When the ring wraps, the oldest samples are evicted;
+// samples, ~43.4 MB). That size is a bound, not a footprint: a ring's
+// backing array starts empty and doubles as elements arrive, clamped at
+// the capacity, so an agent that has sampled for an hour holds an hour of
+// samples. Once full, the ring wraps and the oldest samples are evicted;
 // a later job-telemetry query that reaches past the evicted region is
 // reported as a *partial* data set, which is exactly the completeness flag
 // the monitor's CSV output carries.
@@ -14,31 +17,49 @@ import (
 	"sort"
 )
 
-// Ring is a generic fixed-capacity circular buffer. The zero value is not
+// Ring is a generic bounded circular buffer. The zero value is not
 // usable; construct with New. Ring is not safe for concurrent use: in the
 // simulation every ring is owned by a single node agent.
 type Ring[T any] struct {
-	buf     []T
-	head    int    // index of the slot the next Push writes
-	length  int    // number of live elements, <= cap
-	evicted uint64 // total elements overwritten since creation
+	// buf is the backing array. Until it reaches capacity the ring has
+	// never wrapped in it: the live elements are buf[:length], oldest
+	// first, and grow moves them into a larger array when it fills.
+	buf      []T
+	capacity int
+	head     int    // index of the slot the next Push writes
+	length   int    // number of live elements, <= capacity
+	evicted  uint64 // total elements overwritten since creation
 }
 
 // New returns a ring holding at most capacity elements. It panics on a
 // non-positive capacity, which would make every Push evict its own value.
+// Nothing is allocated until the first Push.
 func New[T any](capacity int) *Ring[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("ringbuf: capacity %d must be positive", capacity))
 	}
-	return &Ring[T]{buf: make([]T, capacity)}
+	return &Ring[T]{capacity: capacity}
+}
+
+// grow moves the live elements into a backing array of room for at least
+// need of them: double the current one, at most the capacity. It is only
+// called while the backing array is below capacity, so the ring has not
+// wrapped in it.
+func (r *Ring[T]) grow(need int) {
+	buf := make([]T, min(max(need, 2*len(r.buf)), r.capacity))
+	copy(buf, r.buf[:r.length])
+	r.buf, r.head = buf, r.length
 }
 
 // Push appends v, evicting the oldest element when full. It reports whether
 // an eviction occurred.
 func (r *Ring[T]) Push(v T) (evictedOld bool) {
+	if r.length == len(r.buf) && r.length < r.capacity {
+		r.grow(r.length + 1)
+	}
 	r.buf[r.head] = v
 	r.head = (r.head + 1) % len(r.buf)
-	if r.length < len(r.buf) {
+	if r.length < r.capacity {
 		r.length++
 		return false
 	}
@@ -49,15 +70,18 @@ func (r *Ring[T]) Push(v T) (evictedOld bool) {
 // PushAll appends vs in order, evicting the oldest elements as needed,
 // and returns how many evictions occurred. It is observationally
 // equivalent to calling Push on every element — same live elements, same
-// order, same Evicted count — but costs at most two copy calls instead
-// of one modulo-indexed store per element, which is what makes bulk
-// archive recovery (the tsdb store seeding a 100k ring) cheap.
+// order, same Evicted count — but costs at most one growth and two copy
+// calls instead of one modulo-indexed store per element, which is what
+// makes bulk archive recovery (the tsdb store seeding a 100k ring) cheap.
 func (r *Ring[T]) PushAll(vs []T) (evicted int) {
-	n := len(r.buf)
 	k := len(vs)
 	if k == 0 {
 		return 0
 	}
+	if need := min(r.length+k, r.capacity); need > len(r.buf) {
+		r.grow(need)
+	}
+	n := len(r.buf)
 	if k >= n {
 		// Only the newest n inputs survive; everything previously live and
 		// every older input is evicted.
@@ -82,8 +106,8 @@ func (r *Ring[T]) PushAll(vs []T) (evicted int) {
 // Len returns the number of live elements.
 func (r *Ring[T]) Len() int { return r.length }
 
-// Cap returns the ring's fixed capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
+// Cap returns the ring's capacity: the most elements it will hold.
+func (r *Ring[T]) Cap() int { return r.capacity }
 
 // Evicted returns the total number of elements overwritten since creation.
 func (r *Ring[T]) Evicted() uint64 { return r.evicted }
@@ -106,64 +130,21 @@ func (r *Ring[T]) Oldest() (v T, ok bool) {
 	return r.At(0), true
 }
 
-// Newest returns the most recently pushed element. ok is false when empty.
-func (r *Ring[T]) Newest() (v T, ok bool) {
-	if r.length == 0 {
-		return v, false
-	}
-	return r.At(r.length - 1), true
-}
-
-// Snapshot copies the live elements, oldest first, into a fresh slice.
-func (r *Ring[T]) Snapshot() []T {
-	out := make([]T, r.length)
-	for i := 0; i < r.length; i++ {
-		out[i] = r.At(i)
-	}
-	return out
-}
-
-// Do calls fn for each live element, oldest first, stopping early if fn
-// returns false. It avoids the allocation of Snapshot for scan-style
-// aggregation (the monitor's job-window query).
-func (r *Ring[T]) Do(fn func(v T) bool) {
-	for i := 0; i < r.length; i++ {
-		if !fn(r.At(i)) {
-			return
-		}
-	}
-}
-
-// Select returns the live elements for which keep returns true, oldest
-// first. The monitor uses this to extract the samples falling inside a
-// job's [start, end] window.
-func (r *Ring[T]) Select(keep func(v T) bool) []T {
-	var out []T
-	r.Do(func(v T) bool {
-		if keep(v) {
-			out = append(out, v)
-		}
-		return true
-	})
-	return out
-}
-
 // IndexRange returns the half-open index interval [lo, hi) of live
 // elements whose key falls inside [min, max], assuming key is
 // non-decreasing over the live elements (oldest to newest) — true for
 // the monitor's monotonic sample timestamps. Both bounds are found by
 // binary search, so a window query costs O(log n + matches) instead of
-// the O(n) predicate scan of Select.
+// an O(n) scan.
 func (r *Ring[T]) IndexRange(min, max float64, key func(T) float64) (lo, hi int) {
 	lo = sort.Search(r.length, func(i int) bool { return key(r.At(i)) >= min })
 	hi = lo + sort.Search(r.length-lo, func(i int) bool { return key(r.At(lo+i)) > max })
 	return lo, hi
 }
 
-// SelectRange returns the live elements whose key falls inside
+// SelectRange returns a copy of the live elements whose key falls inside
 // [min, max], oldest first, assuming key is non-decreasing over the live
-// elements. It is the binary-search counterpart of Select for
-// timestamp-window queries.
+// elements. It is the monitor's timestamp-window query.
 func (r *Ring[T]) SelectRange(min, max float64, key func(T) float64) []T {
 	lo, hi := r.IndexRange(min, max, key)
 	if hi <= lo {
@@ -176,14 +157,11 @@ func (r *Ring[T]) SelectRange(min, max float64, key func(T) float64) []T {
 	return out
 }
 
-// Reset discards all live elements. Capacity and eviction count persist;
-// the FPP policy resets its FFT sample ring at every capping interval
-// (Algorithm 1 line 42).
+// Reset discards all live elements. Capacity, eviction count and the
+// backing array persist, so refilling a reset ring does not grow it
+// again.
 func (r *Ring[T]) Reset() {
-	var zero T
-	for i := range r.buf {
-		r.buf[i] = zero
-	}
+	clear(r.buf)
 	r.head = 0
 	r.length = 0
 }

@@ -1,9 +1,22 @@
 package ringbuf
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// scan is the brute-force window oracle: every live element whose key is
+// inside [min, max], oldest first, read one at a time through At.
+func scan[T any](r *Ring[T], min, max float64, key func(T) float64) []T {
+	var out []T
+	for i := 0; i < r.Len(); i++ {
+		if k := key(r.At(i)); k >= min && k <= max {
+			out = append(out, r.At(i))
+		}
+	}
+	return out
+}
 
 func TestPushAndLen(t *testing.T) {
 	r := New[int](3)
@@ -44,44 +57,25 @@ func TestOldestNewest(t *testing.T) {
 	if _, ok := r.Oldest(); ok {
 		t.Fatal("Oldest ok on empty ring")
 	}
-	if _, ok := r.Newest(); ok {
-		t.Fatal("Newest ok on empty ring")
-	}
 	r.Push("a")
 	r.Push("b")
 	r.Push("c")
 	if v, _ := r.Oldest(); v != "b" {
 		t.Fatalf("Oldest=%q, want b", v)
 	}
-	if v, _ := r.Newest(); v != "c" {
-		t.Fatalf("Newest=%q, want c", v)
+	if v := r.At(r.Len() - 1); v != "c" {
+		t.Fatalf("newest=%q, want c", v)
 	}
 }
 
-func TestSnapshotIsCopy(t *testing.T) {
-	r := New[int](4)
+func TestSelectRangeIsCopy(t *testing.T) {
+	r := New[int](2)
 	r.Push(1)
 	r.Push(2)
-	s := r.Snapshot()
-	r.Push(3)
+	s := r.SelectRange(0, 10, func(v int) float64 { return float64(v) })
+	r.Push(3) // overwrites the slot that held 1
 	if len(s) != 2 || s[0] != 1 || s[1] != 2 {
-		t.Fatalf("snapshot mutated: %v", s)
-	}
-}
-
-func TestDoEarlyStop(t *testing.T) {
-	r := New[int](8)
-	for i := 0; i < 8; i++ {
-		r.Push(i)
-	}
-	seen := 0
-	r.Do(func(v int) bool {
-		seen++
-		return v < 3
-	})
-	// Visits v=0,1,2 (keep going), then v=3 returns false and stops: 4 visits.
-	if seen != 4 {
-		t.Fatalf("Do visited %d elements, want 4", seen)
+		t.Fatalf("selection aliases the ring: %v", s)
 	}
 }
 
@@ -90,15 +84,10 @@ func TestSelectWindow(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Push(i)
 	}
-	got := r.Select(func(v int) bool { return v >= 3 && v <= 6 })
+	got := r.SelectRange(3, 6, func(v int) float64 { return float64(v) })
 	want := []int{3, 4, 5, 6}
-	if len(got) != len(want) {
-		t.Fatalf("Select=%v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Select=%v, want %v", got, want)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("SelectRange=%v, want %v", got, want)
 	}
 }
 
@@ -214,7 +203,7 @@ func TestSelectRangeMatchesSelect(t *testing.T) {
 		{0, 10},      // empty: fully evicted
 	}
 	for _, c := range cases {
-		want := r.Select(func(v float64) bool { return v >= c[0] && v <= c[1] })
+		want := scan(r, c[0], c[1], key)
 		got := r.SelectRange(c[0], c[1], key)
 		if len(want) != len(got) {
 			t.Fatalf("window [%v,%v]: Select %d elements, SelectRange %d", c[0], c[1], len(want), len(got))
@@ -234,9 +223,9 @@ func TestSelectRangeEmptyRing(t *testing.T) {
 	}
 }
 
-// BenchmarkRingSelectRange pins the satellite win: a small time window
-// selected out of a full 100k-sample ring by binary search versus the
-// full-ring predicate scan the monitor used to do on every collect.
+// BenchmarkRingSelectRange pins why the window query is a binary search:
+// a small time window selected out of a full 100k-sample ring, against
+// the full-ring scan the monitor used to do on every collect.
 func BenchmarkRingSelectRange(b *testing.B) {
 	const cap = 100_000
 	key := func(v float64) float64 { return v }
@@ -248,7 +237,7 @@ func BenchmarkRingSelectRange(b *testing.B) {
 	lo, hi := oldest+float64(cap)-32, oldest+float64(cap)-1 // 30-ish recent samples
 	b.Run("scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			out := r.Select(func(v float64) bool { return v >= lo && v <= hi })
+			out := scan(r, lo, hi, key)
 			if len(out) == 0 {
 				b.Fatal("empty window")
 			}

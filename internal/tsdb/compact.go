@@ -9,39 +9,6 @@ import (
 	"fluxpower/internal/variorum"
 )
 
-// tierAccum folds samples into fixed-period buckets with exactly the
-// semantics of powermon's in-memory tiers: a bucket finalizes when a
-// sample crosses its end boundary, and each trapezoid energy segment is
-// charged to the bucket where the segment ends. Keeping the fold
-// identical is what lets a recovered archive adopt persisted buckets
-// without drift against the ones it would have computed live.
-type tierAccum struct {
-	period float64
-	cur    TierRec
-	curSet bool
-	lastTS float64
-	lastW  float64
-	out    []TierRec
-}
-
-func (a *tierAccum) push(p variorum.NodePower) {
-	bucketStart := float64(int64(p.Timestamp/a.period)) * a.period
-	if a.curSet && bucketStart != a.cur.StartSec {
-		a.out = append(a.out, a.cur)
-		a.curSet = false
-	}
-	if !a.curSet {
-		a.cur = TierRec{StartSec: bucketStart, EndSec: bucketStart + a.period}
-		a.curSet = true
-	}
-	w := p.TotalWatts()
-	if a.lastTS > 0 && p.Timestamp > a.lastTS {
-		a.cur.EnergyJ += (p.Timestamp - a.lastTS) * (w + a.lastW) / 2
-	}
-	a.cur.Power.Add(p)
-	a.lastTS, a.lastW = p.Timestamp, w
-}
-
 // tierIndexEvery is how many tier-log records share one resident index
 // entry: a windowed read decodes at most this many records it then
 // filters out at either end.
@@ -52,9 +19,11 @@ const tierIndexEvery = 64
 // the log; what stays in memory is the coverage scalars and one
 // (StartSec, offset) entry per tierIndexEvery records.
 type tierState struct {
-	// acc is fed every sealed sample exactly once, at seal; acc.out
-	// queues the finalized buckets until the next flush persists them.
-	acc tierAccum
+	// fold is fed every sealed sample exactly once, at seal, the same
+	// fold the in-memory archive runs; out queues the buckets it
+	// finalizes until the next flush persists them.
+	fold variorum.Fold
+	out  []variorum.Bucket
 	// through is the EndSec of the newest bucket that is fsynced in the
 	// log (-Inf when none): persisted through, never merely folded
 	// through, which is what lets GC trust it.
@@ -72,7 +41,7 @@ type tierIdx struct {
 
 // adopt notes one persisted bucket whose frame (header plus payloadLen
 // bytes) starts at t.size.
-func (t *tierState) adopt(r TierRec, payloadLen int) {
+func (t *tierState) adopt(r variorum.Bucket, payloadLen int) {
 	if t.count%tierIndexEvery == 0 {
 		t.index = append(t.index, tierIdx{r.StartSec, t.size})
 	}
@@ -86,7 +55,7 @@ func (t *tierState) adopt(r TierRec, payloadLen int) {
 
 func (s *Store) tier(period float64) *tierState {
 	for _, t := range s.tiers {
-		if t.acc.period == period {
+		if t.fold.PeriodSec == period {
 			return t
 		}
 	}
@@ -94,16 +63,18 @@ func (s *Store) tier(period float64) *tierState {
 }
 
 // foldSealed pushes freshly sealed samples through every tier's carried
-// accumulator — the only fold there is.
+// fold and queues the buckets they finalize.
 func (s *Store) foldSealed(samples []variorum.NodePower) {
 	for _, t := range s.tiers {
 		for _, p := range samples {
-			t.acc.push(p)
+			if b, ok := t.fold.Push(p); ok {
+				t.out = append(t.out, b)
+			}
 		}
 	}
 }
 
-// primeTiers seeds the carried accumulators, once per Open, with one
+// primeTiers seeds the carried folds, once per Open, with one
 // decode pass over the sealed blocks that can still matter: from one
 // block before the oldest tier's persisted mark (the priming block,
 // which supplies the predecessor sample of the first new trapezoid
@@ -133,13 +104,13 @@ func (s *Store) primeTiers() error {
 // the same offset.
 func (s *Store) flushTiersLocked() error {
 	for _, t := range s.tiers {
-		fresh := t.acc.out[:0]
-		for _, r := range t.acc.out {
+		fresh := t.out[:0]
+		for _, r := range t.out {
 			if r.EndSec > t.through {
 				fresh = append(fresh, r)
 			}
 		}
-		t.acc.out = fresh
+		t.out = fresh
 		if len(fresh) == 0 {
 			continue
 		}
@@ -153,13 +124,13 @@ func (s *Store) flushTiersLocked() error {
 			buf = appendFrame(buf, payload)
 			lens[i] = len(payload)
 		}
-		if err := writeSyncAt(s.tierLogPath(t.acc.period), 0, buf, t.size); err != nil {
+		if err := writeSyncAt(s.tierLogPath(t.fold.PeriodSec), 0, buf, t.size); err != nil {
 			return err
 		}
 		for i, r := range fresh {
 			t.adopt(r, lens[i])
 		}
-		t.acc.out = fresh[:0]
+		t.out = fresh[:0]
 	}
 	return nil
 }
@@ -188,8 +159,8 @@ func writeSyncAt(path string, flag int, data []byte, off int64) error {
 // entry starting at or before start and the first entry starting after
 // end; only that range is read and decoded. A log that cannot be read
 // answers with what could be decoded.
-func (s *Store) readTier(t *tierState, start, end float64) []TierRec {
-	out := []TierRec{}
+func (s *Store) readTier(t *tierState, start, end float64) []variorum.Bucket {
+	out := []variorum.Bucket{}
 	if t == nil || t.count == 0 {
 		return out
 	}
@@ -202,7 +173,7 @@ func (s *Store) readTier(t *tierState, start, end float64) []TierRec {
 	if to <= from {
 		return out
 	}
-	f, err := os.Open(s.tierLogPath(t.acc.period))
+	f, err := os.Open(s.tierLogPath(t.fold.PeriodSec))
 	if err != nil {
 		return out
 	}
@@ -211,7 +182,7 @@ func (s *Store) readTier(t *tierState, start, end float64) []TierRec {
 	n, _ := f.ReadAt(buf, from)
 	payloads, _, _ := splitFrames(buf[:n])
 	for _, payload := range payloads {
-		var r TierRec
+		var r variorum.Bucket
 		if json.Unmarshal(payload, &r) == nil && r.EndSec > start && r.StartSec <= end {
 			out = append(out, r)
 		}

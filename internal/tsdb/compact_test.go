@@ -13,19 +13,22 @@ import (
 	"fluxpower/internal/variorum"
 )
 
-// refold is the from-scratch oracle: one fresh tierAccum over every
-// sample ever sealed, minus its open bucket.
-func refold(sealed []variorum.NodePower, period float64) []TierRec {
-	acc := tierAccum{period: period}
+// refold is the from-scratch oracle: one fresh fold over every sample
+// ever sealed, minus its open bucket.
+func refold(sealed []variorum.NodePower, period float64) []variorum.Bucket {
+	f := variorum.Fold{PeriodSec: period}
+	var out []variorum.Bucket
 	for _, p := range sealed {
-		acc.push(p)
+		if b, ok := f.Push(p); ok {
+			out = append(out, b)
+		}
 	}
-	return acc.out
+	return out
 }
 
 // readTierLog decodes a tier log straight from disk, independently of
 // the store's index.
-func readTierLog(t *testing.T, dir string, period float64) []TierRec {
+func readTierLog(t *testing.T, dir string, period float64) []variorum.Bucket {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("tier-%g.log", period)))
 	if os.IsNotExist(err) {
@@ -38,9 +41,9 @@ func readTierLog(t *testing.T, dir string, period float64) []TierRec {
 	if torn {
 		t.Fatalf("tier %g log has a torn tail while the store is open", period)
 	}
-	var out []TierRec
+	var out []variorum.Bucket
 	for _, payload := range payloads {
-		var r TierRec
+		var r variorum.Bucket
 		if err := json.Unmarshal(payload, &r); err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +363,7 @@ func TestMaintainIdleTouchesNoBlocks(t *testing.T) {
 // tierWindows is the boundary table of TestSelectTierBoundaries,
 // extended with windows whose edges sit on and beside resident index
 // entries, where the disk-backed read switches byte ranges.
-func tierWindows(recs []TierRec) [][2]float64 {
+func tierWindows(recs []variorum.Bucket) [][2]float64 {
 	first, last := recs[0], recs[len(recs)-1]
 	w := [][2]float64{
 		{recs[1].StartSec + 1, recs[1].EndSec - 1},
@@ -389,10 +392,10 @@ func tierWindows(recs []TierRec) [][2]float64 {
 
 // checkSelectTier compares the disk-backed SelectTier with the plain
 // in-memory filter over ref on every window of the table.
-func checkSelectTier(t *testing.T, s *Store, period float64, ref []TierRec, when string) {
+func checkSelectTier(t *testing.T, s *Store, period float64, ref []variorum.Bucket, when string) {
 	t.Helper()
 	for _, w := range tierWindows(ref) {
-		var want []TierRec
+		var want []variorum.Bucket
 		for _, r := range ref {
 			if r.EndSec > w[0] && r.StartSec <= w[1] {
 				want = append(want, r)
@@ -426,7 +429,7 @@ func TestTierResidentStateBounded(t *testing.T) {
 	defer func() { s.Close() }()
 	const n = 100
 	var all []variorum.NodePower
-	grow := func(buckets int) []TierRec {
+	grow := func(buckets int) []variorum.Bucket {
 		all = append(all, appendN(t, s, 2*buckets-len(all), len(all))...)
 		if err := s.Maintain(all[len(all)-1].Timestamp); err != nil {
 			t.Fatal(err)
@@ -493,7 +496,7 @@ func TestTierResidentStateBounded(t *testing.T) {
 }
 
 // TestTierLogUndecodableFrameKeepsPrefix: a frame with a good CRC whose
-// payload is not a TierRec cuts the log back to the buckets before it.
+// payload is not a variorum.Bucket cuts the log back to the buckets before it.
 // Recovery does that by truncating to the frame boundary — it never
 // rewrites the bytes it keeps and leaves no temporary file — so a crash
 // at any point of it leaves the good prefix on disk; a second Open is a

@@ -109,11 +109,11 @@ func FuzzBlockDecode(f *testing.F) {
 // payload that is not a bucket, plus the degenerate inputs.
 func tierLogSeeds() [][]byte {
 	var log []byte
-	acc := tierAccum{period: 60}
+	var samples []variorum.NodePower
 	for i := 0; i < 130; i++ { // four buckets: small images keep the fuzzer's minimizer quick
-		acc.push(mkSample(i))
+		samples = append(samples, mkSample(i))
 	}
-	for _, r := range acc.out {
+	for _, r := range refold(samples, 60) {
 		payload, err := json.Marshal(r)
 		if err != nil {
 			panic(err)
@@ -141,10 +141,10 @@ func FuzzTierLogRecover(f *testing.F) {
 		if clean > len(data) || (torn && clean == len(data)) {
 			t.Fatalf("splitFrames: clean=%d torn=%v for %d bytes", clean, torn, len(data))
 		}
-		var want []TierRec
+		var want []variorum.Bucket
 		prefix := 0
 		for _, payload := range payloads {
-			var r TierRec
+			var r variorum.Bucket
 			if json.Unmarshal(payload, &r) != nil {
 				break
 			}

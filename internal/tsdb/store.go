@@ -11,8 +11,8 @@
 // seals into an immutable Gorilla-compressed block file (delta-of-delta
 // timestamps, XOR-encoded per-component channels — see block.go), after
 // which the covered WAL segments are deleted. Each sealed head is folded
-// once, from memory, into the same 1min/10min mean/max/min tier buckets
-// the in-memory archive keeps; finalized buckets are persisted at the
+// once, from memory, into 1min/10min variorum.Buckets by variorum.Fold,
+// the fold the in-memory archive runs; finalized buckets are persisted at the
 // next Maintain to append-only tier logs that are never
 // garbage-collected and are read back from disk, not mirrored in memory.
 // GC then deletes sealed-block prefixes under a size/age bound, but only
@@ -88,16 +88,6 @@ func (c Config) withDefaults() Config {
 		c.TierPeriodsSec = []float64{60, 600}
 	}
 	return c
-}
-
-// TierRec is one finalized compaction bucket — the durable counterpart
-// of powermon's TierSample, with identical fold semantics so a recovered
-// archive tier matches the one that was lost.
-type TierRec struct {
-	StartSec float64           `json:"start_sec"`
-	EndSec   float64           `json:"end_sec"`
-	Power    variorum.PowerAgg `json:"power"`
-	EnergyJ  float64           `json:"energy_j"`
 }
 
 // Health is the store's operational snapshot, surfaced through
@@ -202,7 +192,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 	}
 	hadState := false
 	for _, p := range cfg.TierPeriodsSec {
-		t := &tierState{acc: tierAccum{period: p}, through: math.Inf(-1)}
+		t := &tierState{fold: variorum.Fold{PeriodSec: p}, through: math.Inf(-1)}
 		if err := s.recoverTierLog(t); err != nil {
 			return nil, err
 		}
@@ -410,7 +400,7 @@ func (s *Store) tierLogPath(period float64) string {
 // frame boundary — the kept bytes are never rewritten, so no crash can
 // leave the log shorter than that prefix.
 func (s *Store) recoverTierLog(t *tierState) error {
-	path := s.tierLogPath(t.acc.period)
+	path := s.tierLogPath(t.fold.PeriodSec)
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil
@@ -420,7 +410,7 @@ func (s *Store) recoverTierLog(t *tierState) error {
 	}
 	payloads, _, torn := splitFrames(data)
 	for _, payload := range payloads {
-		var r TierRec
+		var r variorum.Bucket
 		if err := json.Unmarshal(payload, &r); err != nil {
 			torn = true
 			break
@@ -644,7 +634,7 @@ func (s *Store) All() ([]variorum.NodePower, error) {
 
 // TierRecords returns the persisted compaction buckets for one period,
 // oldest first, read back from the tier log.
-func (s *Store) TierRecords(periodSec float64) []TierRec {
+func (s *Store) TierRecords(periodSec float64) []variorum.Bucket {
 	return s.SelectTier(periodSec, math.Inf(-1), math.Inf(1))
 }
 
@@ -665,7 +655,7 @@ func (s *Store) TierPeriods() []float64 {
 // windows that have aged out of both the raw ring and the raw blocks.
 // Only the byte range of the log that the resident index brackets is
 // read (see readTier).
-func (s *Store) SelectTier(periodSec, start, end float64) []TierRec {
+func (s *Store) SelectTier(periodSec, start, end float64) []variorum.Bucket {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.readTier(s.tier(periodSec), start, end)

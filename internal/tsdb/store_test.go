@@ -332,9 +332,9 @@ func TestStoreSchemaChangeSealsEarly(t *testing.T) {
 
 // expectedTiers independently folds samples into buckets with the
 // documented semantics, as a pin against the store's compactor.
-func expectedTiers(samples []variorum.NodePower, period float64) []TierRec {
-	var out []TierRec
-	var cur TierRec
+func expectedTiers(samples []variorum.NodePower, period float64) []variorum.Bucket {
+	var out []variorum.Bucket
+	var cur variorum.Bucket
 	curSet := false
 	var lastTS, lastW float64
 	for _, p := range samples {
@@ -344,7 +344,7 @@ func expectedTiers(samples []variorum.NodePower, period float64) []TierRec {
 			curSet = false
 		}
 		if !curSet {
-			cur = TierRec{StartSec: start, EndSec: start + period}
+			cur = variorum.Bucket{StartSec: start, EndSec: start + period}
 			curSet = true
 		}
 		w := p.TotalWatts()

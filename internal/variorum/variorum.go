@@ -361,3 +361,59 @@ func (a PowerAgg) MemMeanW() float64 {
 	}
 	return a.Mem.Mean()
 }
+
+// Bucket is one downsampled archive bucket: the PowerAgg of every sample
+// whose timestamp fell in [StartSec, EndSec), plus the trapezoid energy
+// of the segments ending there. It is the record of the monitor's
+// in-memory tiers, of the tsdb tier logs (its JSON is their on-disk
+// format) and of the query engine's tier reads.
+type Bucket struct {
+	StartSec float64  `json:"start_sec"`
+	EndSec   float64  `json:"end_sec"`
+	Power    PowerAgg `json:"power"`
+	EnergyJ  float64  `json:"energy_j"`
+}
+
+// MidSec is the bucket's midpoint, the timestamp job attribution and
+// rate evaluation assign the whole bucket to.
+func (b Bucket) MidSec() float64 { return (b.StartSec + b.EndSec) / 2 }
+
+// Fold downsamples a sample stream into PeriodSec-long Buckets aligned
+// to multiples of the period. A bucket finalizes when a sample lands
+// past its end, and each inter-sample energy segment is charged to the
+// bucket where it ends. The in-memory archive and the durable store
+// both fold with it, which is what lets a recovered archive adopt
+// persisted buckets without drift against the ones it would have
+// computed live.
+type Fold struct {
+	PeriodSec float64
+	cur       Bucket
+	open      bool
+	lastTS    float64 // previous sample, for trapezoid energy
+	lastW     float64
+}
+
+// Push folds p into its bucket. When p opens a new bucket, the bucket it
+// closes is returned with ok true.
+func (f *Fold) Push(p NodePower) (done Bucket, ok bool) {
+	start := float64(int64(p.Timestamp/f.PeriodSec)) * f.PeriodSec
+	if f.open && start != f.cur.StartSec {
+		done, ok = f.cur, true
+		f.open = false
+	}
+	if !f.open {
+		f.cur = Bucket{StartSec: start, EndSec: start + f.PeriodSec}
+		f.open = true
+	}
+	w := p.TotalWatts()
+	if f.lastTS > 0 && p.Timestamp > f.lastTS {
+		f.cur.EnergyJ += (p.Timestamp - f.lastTS) * (w + f.lastW) / 2
+	}
+	f.cur.Power.Add(p)
+	f.lastTS, f.lastW = p.Timestamp, w
+	return done, ok
+}
+
+// Current returns the still-accumulating bucket; ok is false before the
+// first sample.
+func (f *Fold) Current() (b Bucket, ok bool) { return f.cur, f.open }
