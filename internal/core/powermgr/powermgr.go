@@ -566,17 +566,31 @@ func (m *Manager) handleStatus(req *broker.Request) {
 	controller := m.controllerStatusLocked()
 	m.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
-	_ = req.Respond(map[string]any{
-		"policy":         m.cfg.Policy,
-		"global_cap_w":   global,
-		"allocations":    out,
-		"push_failures":  pushFailures,
-		"push_errors":    pushErrs,
-		"push_acks":      pushAcks,
-		"push_ack_sec":   pushAckSec,
-		"limit_repushes": repushes,
-		"controller":     controller,
+	_ = req.Respond(statusReply{
+		Allocations:   out,
+		Controller:    controller,
+		GlobalCapW:    global,
+		LimitRepushes: repushes,
+		Policy:        m.cfg.Policy,
+		PushAckSec:    pushAckSec,
+		PushAcks:      pushAcks,
+		PushErrors:    pushErrs,
+		PushFailures:  pushFailures,
 	})
+}
+
+// statusReply is the power-manager.status payload. Fields stay in
+// alphabetical JSON-key order: TestReplyBytes pins the encoded bytes.
+type statusReply struct {
+	Allocations   []Allocation        `json:"allocations"`
+	Controller    ControllerStatus    `json:"controller"`
+	GlobalCapW    float64             `json:"global_cap_w"`
+	LimitRepushes uint64              `json:"limit_repushes"`
+	Policy        Policy              `json:"policy"`
+	PushAckSec    map[int32][]float64 `json:"push_ack_sec"`
+	PushAcks      map[int32]uint64    `json:"push_acks"`
+	PushErrors    map[int32]string    `json:"push_errors"`
+	PushFailures  uint64              `json:"push_failures"`
 }
 
 // ---- Node-level manager (every rank) ----
@@ -611,7 +625,14 @@ func (m *Manager) handleSetLimit(req *broker.Request) {
 		_ = req.Fail(msg.EPERM, err.Error())
 		return
 	}
-	_ = req.Respond(map[string]any{"rank": m.ctx.Rank(), "limit_w": body.LimitW})
+	_ = req.Respond(setLimitAck{LimitW: body.LimitW, Rank: m.ctx.Rank()})
+}
+
+// setLimitAck acknowledges a node limit. Fields stay in alphabetical
+// JSON-key order: TestReplyBytes pins the encoded bytes.
+type setLimitAck struct {
+	LimitW float64 `json:"limit_w"`
+	Rank   int32   `json:"rank"`
 }
 
 // enforceLocked applies a node-level power limit (0 releases) under the

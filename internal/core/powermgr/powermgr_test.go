@@ -481,3 +481,40 @@ func TestPushFailuresRecordedInStatus(t *testing.T) {
 		t.Fatalf("healthy rank 0 recorded a push error: %+v", body.PushErrors)
 	}
 }
+
+func TestReplyBytes(t *testing.T) {
+	// Payloads captured when the status reply and the setlimit ack were
+	// sorted-key maps; the typed replies must encode to the same bytes.
+	c, err := cluster.New(cluster.Config{System: cluster.Lassen, Nodes: 2, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.Inst.Root().LoadModule(New(Config{Policy: PolicyProportional, GlobalCapW: 2400})); err != nil {
+		t.Fatal(err)
+	}
+	_, _ = c.Submit(job.Spec{App: "gemm", Nodes: 2})
+	c.RunFor(time.Second)
+
+	resp, err := c.Inst.Root().Call(0, "power-manager.status", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"allocations":[{"jobid":1,"ranks":[0,1],"per_node_w":1200,"job_limit_w":2400,"policy":"proportional"}],` +
+		`"controller":{"mode":"","rounds":0,"retunes":0,"violations":0,"sustained_violations":0,"reclaimed_w_total":0,"granted_w_total":0,` +
+		`"jobs":[{"jobid":1,"violations":0,"sustained_violations":0,"retunes":0,"last_obs_w":0,"cap_history":[{"sec":0,"per_node_w":1200}]}]},` +
+		`"global_cap_w":2400,"limit_repushes":0,"policy":"proportional","push_ack_sec":{"0":[0]},"push_acks":{"0":1},` +
+		`"push_errors":{"1":"msg: \"power-manager.node.setlimit\" failed: errno 38: rank 1 has no service for \"power-manager.node.setlimit\""},` +
+		`"push_failures":1}`
+	if got := string(resp.Payload); got != want {
+		t.Fatalf("status payload\n got %s\nwant %s", got, want)
+	}
+
+	resp, err = c.Inst.Root().Call(0, "power-manager.node.setlimit", map[string]any{"limit_w": 1234.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(resp.Payload), `{"limit_w":1234.5,"rank":0}`; got != want {
+		t.Fatalf("setlimit ack %s, want %s", got, want)
+	}
+}

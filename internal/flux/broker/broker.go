@@ -594,7 +594,8 @@ func (b *Broker) RPC(nodeID int32, topic string, payload any) *Future {
 // RPCWithTimeout is RPC with a deadline: if no response arrives within
 // timeout (simulated time under the scheduler, wall time live), the
 // future resolves with ETIMEDOUT and the matchtag's pending entry is
-// reclaimed. A non-positive timeout means no deadline.
+// reclaimed. A non-positive timeout means no deadline. A response that
+// arrives during delivery (in-memory links) arms no deadline timer.
 func (b *Broker) RPCWithTimeout(nodeID int32, topic string, payload any, timeout time.Duration) *Future {
 	return b.rpc(nodeID, topic, payload, timeout)
 }
@@ -613,13 +614,19 @@ func (b *Broker) rpc(nodeID int32, topic string, payload any, timeout time.Durat
 		f.complete(msg.NewErrorResponse(f.requestStub(), b.rank, msg.EINVAL, err.Error()), err)
 		return f
 	}
-	// Arm the deadline before delivery: a synchronous in-memory response
-	// cancels it on resolve, and a live response cannot race an unarmed
-	// timer.
-	if timeout > 0 && b.wheel != nil {
-		b.wheel.schedule(f, timeout)
+	// The deadline runs from the send, but it is armed only after
+	// delivery, and only if no reply arrived during delivery: in-memory
+	// links answer synchronously, and a resolved future needs no timer.
+	// A live reply racing the arming is handled inside schedule.
+	armed := timeout > 0 && b.wheel != nil
+	var due simtime.Time
+	if armed {
+		due = b.wheel.timers.Now().Add(timeout)
 	}
 	b.Deliver(req)
+	if armed {
+		b.wheel.schedule(f, due)
+	}
 	return f
 }
 
@@ -858,11 +865,7 @@ func (r *Request) Broker() *Broker { return r.broker }
 func (b *Broker) registerBuiltins() {
 	// broker.ping: liveness and identity probe.
 	_ = b.RegisterService("broker.ping", func(req *Request) {
-		_ = req.Respond(map[string]any{
-			"rank": b.rank,
-			"size": b.size,
-			"time": b.clock.Now().Seconds(),
-		})
+		_ = req.Respond(pingReply{Rank: b.rank, Size: b.size, Time: b.clock.Now().Seconds()})
 	})
 	// broker.stats: activity counters.
 	_ = b.RegisterService("broker.stats", func(req *Request) {
@@ -882,8 +885,21 @@ func (b *Broker) registerBuiltins() {
 		}
 		b.mu.Unlock()
 		sort.Strings(names)
-		_ = req.Respond(map[string]any{"services": names})
+		_ = req.Respond(servicesReply{Services: names})
 	})
+}
+
+// pingReply and servicesReply are the builtin services' payloads. Fields
+// stay in alphabetical JSON-key order: TestBuiltinReplyBytes pins the
+// encoded bytes.
+type pingReply struct {
+	Rank int32   `json:"rank"`
+	Size int32   `json:"size"`
+	Time float64 `json:"time"`
+}
+
+type servicesReply struct {
+	Services []string `json:"services"`
 }
 
 // Module is a dynamically loaded broker plugin (Flux RFC 5). Modules have

@@ -558,3 +558,29 @@ func TestInvalidMessageTypeCounted(t *testing.T) {
 		t.Fatal("invalid message type not counted")
 	}
 }
+
+func TestBuiltinReplyBytes(t *testing.T) {
+	// Payloads captured when these replies were sorted-key maps; the
+	// typed replies must encode to the same bytes.
+	inst := newInstance(t, 3, 2)
+	one := newInstance(t, 1, 2)
+	call := func(b *Broker, rank int32, topic string) string {
+		t.Helper()
+		resp, err := b.Call(rank, topic, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(resp.Payload)
+	}
+	if got, want := call(inst.Root(), 2, "broker.ping"), `{"rank":2,"size":3,"time":0}`; got != want {
+		t.Fatalf("ping payload %s, want %s", got, want)
+	}
+	inst.sched.Advance(1500 * time.Millisecond)
+	if got, want := call(inst.Root(), 1, "broker.ping"), `{"rank":1,"size":3,"time":1.5}`; got != want {
+		t.Fatalf("ping payload %s, want %s", got, want)
+	}
+	want := `{"services":["broker.health","broker.ping","broker.services","broker.stats"]}`
+	if got := call(one.Root(), 0, "broker.services"); got != want {
+		t.Fatalf("services payload %s, want %s", got, want)
+	}
+}

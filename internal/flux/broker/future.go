@@ -23,7 +23,10 @@ import (
 // response; the broker's deadline wheel (running on its timer provider)
 // enforces the timeout in both modes, so an unanswered request in a
 // simulation times out at the same simulated instant a live one would at
-// wall time.
+// wall time. The deadline is armed after delivery, so a reply that
+// arrives during delivery arms no timer at all. That matters because the
+// simulation scheduler stops timers lazily: a stopped timer stays in its
+// heap until its deadline comes due.
 type Future struct {
 	b      *Broker
 	tag    uint32
@@ -204,8 +207,9 @@ func (f *Future) claim(resp *msg.Message, err error) bool {
 	return true
 }
 
-// finish wakes the waiters of a claimed future, detaches it from the
-// deadline wheel and runs any registered callbacks.
+// finish detaches a claimed future from the deadline wheel, wakes its
+// waiters and runs any registered callbacks. Detaching first means a
+// waiter that returns never finds its future still in a bucket.
 func (f *Future) finish() {
 	f.mu.Lock()
 	cbs, resp := f.cbs, f.resp
@@ -213,10 +217,10 @@ func (f *Future) finish() {
 	wheel, tick := f.wheel, f.wheelTick
 	f.wheel = nil
 	f.mu.Unlock()
-	close(f.done)
 	if wheel != nil {
 		wheel.cancel(f, tick)
 	}
+	close(f.done)
 	for _, cb := range cbs {
 		cb(resp)
 	}
@@ -255,25 +259,32 @@ func newDeadlineWheel(timers simtime.TimerProvider) *deadlineWheel {
 	return &deadlineWheel{timers: timers, buckets: make(map[int64]*wheelBucket)}
 }
 
-// schedule arms f to expire timeout from now (quantized up to the next
-// bucket boundary).
-func (w *deadlineWheel) schedule(f *Future, timeout time.Duration) {
-	now := w.timers.Now().Duration()
-	tick := int64((now + timeout + wheelQuantum - 1) / wheelQuantum)
+// schedule arms f to expire at due (quantized up to the next bucket
+// boundary), unless f has already resolved. The resolved check, the
+// wheel back-pointer and the bucket insert all happen under the wheel
+// lock, so a resolved future never sits in a bucket: a concurrent finish
+// either sees no wheel, or blocks in cancel until the insert is done and
+// then removes f.
+func (w *deadlineWheel) schedule(f *Future, due simtime.Time) {
+	tick := int64((due.Duration() + wheelQuantum - 1) / wheelQuantum)
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	f.mu.Lock()
+	if f.resolved {
+		f.mu.Unlock()
+		return
+	}
 	f.wheel, f.wheelTick = w, tick
 	f.mu.Unlock()
-	w.mu.Lock()
 	bkt, ok := w.buckets[tick]
 	if !ok {
 		bkt = &wheelBucket{futures: make(map[*Future]struct{})}
 		w.buckets[tick] = bkt
-		bkt.timer = w.timers.AfterFunc(time.Duration(tick)*wheelQuantum-now, func(simtime.Time) {
+		bkt.timer = w.timers.AfterFunc(time.Duration(tick)*wheelQuantum-w.timers.Now().Duration(), func(simtime.Time) {
 			w.fire(tick)
 		})
 	}
 	bkt.futures[f] = struct{}{}
-	w.mu.Unlock()
 }
 
 // fire expires every future still pending in a due bucket.

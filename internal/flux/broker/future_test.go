@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fluxpower/internal/flux/msg"
+	"fluxpower/internal/simtime"
 )
 
 // failingLink is a transport.Link whose sends always fail — a dead TCP
@@ -146,24 +147,37 @@ func TestDeadlineWheelSharesBuckets(t *testing.T) {
 }
 
 func TestResolvedRPCDetachesFromWheel(t *testing.T) {
-	// A deadline-armed RPC that is answered must drop out of its wheel
-	// bucket; with no live futures left the bucket's timer is stopped and
-	// the bucket removed, so an idle broker keeps no timers armed.
-	inst := newInstance(t, 2, 2)
-	root := inst.Root()
-	f := root.RPCWithTimeout(1, "broker.ping", nil, time.Second)
-	if !f.Resolved() {
-		t.Fatal("synchronous ping unresolved")
+	// An in-memory reply arrives during delivery, so the deadline of an
+	// answered RPC is never armed: no bucket, no timer handed to the
+	// provider, nothing left in the scheduler heap.
+	sched := simtime.NewScheduler()
+	armed := 0
+	inst, err := NewInstance(InstanceOptions{
+		Size: 3, Fanout: 2, Scheduler: sched,
+		TimersFor: func(int32) simtime.TimerProvider { return countingTimers{sched, &armed} },
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	root.wheel.mu.Lock()
-	buckets := len(root.wheel.buckets)
-	root.wheel.mu.Unlock()
-	if buckets != 0 {
-		t.Fatalf("resolved RPC left %d wheel buckets armed", buckets)
+	root := inst.Root()
+	pending := sched.Pending()
+	for i := 0; i < 10; i++ {
+		if f := root.RPCWithTimeout(2, "broker.ping", nil, time.Second); !f.Resolved() {
+			t.Fatal("synchronous ping unresolved")
+		}
+	}
+	if n := wheelBuckets(root); n != 0 {
+		t.Fatalf("resolved RPCs left %d wheel buckets armed", n)
+	}
+	if armed != 0 {
+		t.Fatalf("resolved RPCs armed %d deadline timers, want 0", armed)
+	}
+	if got := sched.Pending(); got != pending {
+		t.Fatalf("scheduler holds %d timers, want %d", got, pending)
 	}
 	// Advancing past the original deadline must not double-resolve or
 	// count a timeout.
-	inst.sched.Advance(2 * time.Second)
+	sched.Advance(2 * time.Second)
 	if got := root.Stats().RPCTimeouts; got != 0 {
 		t.Fatalf("answered RPC counted %d timeouts", got)
 	}

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -128,5 +131,50 @@ func TestDecodeHostileLength(t *testing.T) {
 	}
 	if !jsonEqual(big.Payload, got.Payload) {
 		t.Fatal("large payload mangled")
+	}
+}
+
+// validateTopicSplit is the original strings.Split implementation of
+// ValidateTopic, kept as the oracle for FuzzValidateTopic.
+func validateTopicSplit(topic string) error {
+	if topic == "" {
+		return errors.New("msg: empty topic")
+	}
+	if strings.HasPrefix(topic, ".") || strings.HasSuffix(topic, ".") {
+		return fmt.Errorf("msg: topic %q has leading/trailing dot", topic)
+	}
+	for _, part := range strings.Split(topic, ".") {
+		if part == "" {
+			return fmt.Errorf("msg: topic %q has empty component", topic)
+		}
+	}
+	return nil
+}
+
+// FuzzValidateTopic checks that ValidateTopic returns exactly the oracle's
+// verdict and message on every input.
+func FuzzValidateTopic(f *testing.F) {
+	for _, s := range []string{"", ".", "..", "...", "a", "a.b", "a..b", ".a", "a.", "a...b", "power-manager.node.setlimit", "x.y..", "é.ü"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, topic string) {
+		got, want := ValidateTopic(topic), validateTopicSplit(topic)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Fatalf("ValidateTopic(%q) = %v, oracle %v", topic, got, want)
+		}
+	})
+}
+
+func TestValidateTopicZeroAlloc(t *testing.T) {
+	topics := []string{"a", "broker.ping", "power-manager.node.setlimit", "power-monitor.collect"}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, topic := range topics {
+			if ValidateTopic(topic) != nil {
+				t.Fatal("valid topic rejected")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ValidateTopic allocates %.1f times per run of valid topics, want 0", allocs)
 	}
 }

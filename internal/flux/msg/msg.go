@@ -210,10 +210,8 @@ func ValidateTopic(topic string) error {
 	if strings.HasPrefix(topic, ".") || strings.HasSuffix(topic, ".") {
 		return fmt.Errorf("msg: topic %q has leading/trailing dot", topic)
 	}
-	for _, part := range strings.Split(topic, ".") {
-		if part == "" {
-			return fmt.Errorf("msg: topic %q has empty component", topic)
-		}
+	if strings.Contains(topic, "..") {
+		return fmt.Errorf("msg: topic %q has empty component", topic)
 	}
 	return nil
 }
