@@ -20,92 +20,71 @@ import (
 	"fluxpower/internal/experiments"
 )
 
-type runner func(opts experiments.Options) (string, error)
+// result is an experiment's output. Its type decides which -format
+// renderings the experiment offers.
+type result interface{ Render() string }
 
-var registry = map[string]runner{
-	"fig1": func(o experiments.Options) (string, error) {
-		r, err := experiments.Fig1(o)
+type csvResult interface{ RenderCSV() string }
+
+type jsonResult interface{ RenderJSON() (string, error) }
+
+// experiment is one registry entry. csv and json come from the result
+// type, so an unsupported -format fails before the experiment runs.
+type experiment struct {
+	run       func(experiments.Options) (result, error)
+	csv, json bool
+}
+
+// wrap adapts an experiment entry point to the registry.
+func wrap[R result](f func(experiments.Options) (R, error)) experiment {
+	var zero R
+	_, csv := any(zero).(csvResult)
+	_, json := any(zero).(jsonResult)
+	return experiment{
+		run:  func(o experiments.Options) (result, error) { return f(o) },
+		csv:  csv,
+		json: json,
+	}
+}
+
+// text is an output rendered before it reaches the registry.
+type text string
+
+func (t text) Render() string { return string(t) }
+
+// timeline renders one of the Table 4 run's power timelines (Fig 5, 6).
+func timeline(title string, fig func(*experiments.Table4Result) (gemm, qs []experiments.TimelinePoint, err error)) experiment {
+	return wrap(func(o experiments.Options) (text, error) {
+		r, err := experiments.Table4(o)
 		if err != nil {
 			return "", err
 		}
-		return r.Render(), nil
-	},
-	"fig2": func(o experiments.Options) (string, error) {
-		r, err := experiments.Fig2(o)
+		gemm, qs, err := fig(r)
 		if err != nil {
 			return "", err
 		}
-		return r.Render(), nil
-	},
-	"table2": func(o experiments.Options) (string, error) {
-		r, err := experiments.Table2(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"fig3": func(o experiments.Options) (string, error) {
-		r, err := experiments.Fig3(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"fig4": func(o experiments.Options) (string, error) {
+		return text(experiments.RenderTimelines(title, gemm, qs)), nil
+	})
+}
+
+var registry = map[string]experiment{
+	"fig1":   wrap(experiments.Fig1),
+	"fig2":   wrap(experiments.Fig2),
+	"table2": wrap(experiments.Table2),
+	"fig3":   wrap(experiments.Fig3),
+	"fig4": wrap(func(o experiments.Options) (*experiments.Fig4Result, error) {
 		f3, err := experiments.Fig3(o)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		r, err := experiments.Fig4(f3)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"table3": func(o experiments.Options) (string, error) {
-		r, err := experiments.Table3(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"table4": func(o experiments.Options) (string, error) {
-		r, err := experiments.Table4(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"fig5": func(o experiments.Options) (string, error) {
-		r, err := experiments.Table4(o)
-		if err != nil {
-			return "", err
-		}
-		gemm, qs, err := experiments.Fig5(r)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderTimelines("Fig 5: proportional sharing timeline", gemm, qs), nil
-	},
-	"fig6": func(o experiments.Options) (string, error) {
-		r, err := experiments.Table4(o)
-		if err != nil {
-			return "", err
-		}
-		gemm, qs, err := experiments.Fig6(r)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderTimelines("Fig 6: FPP timeline", gemm, qs), nil
-	},
-	"fig7": func(o experiments.Options) (string, error) {
-		r, err := experiments.Fig7(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"timelines": func(o experiments.Options) (string, error) {
+		return experiments.Fig4(f3)
+	}),
+	"table3": wrap(experiments.Table3),
+	"table4": wrap(experiments.Table4),
+	"fig5":   timeline("Fig 5: proportional sharing timeline", experiments.Fig5),
+	"fig6":   timeline("Fig 6: FPP timeline", experiments.Fig6),
+	"fig7":   wrap(experiments.Fig7),
+	"timelines": wrap(func(o experiments.Options) (text, error) {
 		rs, err := experiments.AllTimelines(o)
 		if err != nil {
 			return "", err
@@ -114,207 +93,19 @@ var registry = map[string]runner{
 		for _, r := range rs {
 			out += r.Render() + "\n"
 		}
-		return out, nil
-	},
-	"sweep": func(o experiments.Options) (string, error) {
-		r, err := experiments.BoundSweep(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"queue": func(o experiments.Options) (string, error) {
-		r, err := experiments.Queue(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"scale": func(o experiments.Options) (string, error) {
-		r, err := experiments.Scale(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"chaos": func(o experiments.Options) (string, error) {
-		r, err := experiments.Chaos(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"heal": func(o experiments.Options) (string, error) {
-		r, err := experiments.Heal(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"serve": func(o experiments.Options) (string, error) {
-		r, err := experiments.Serve(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"store": func(o experiments.Options) (string, error) {
-		r, err := experiments.Store(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"policy": func(o experiments.Options) (string, error) {
-		r, err := experiments.Policy(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"evsim": func(o experiments.Options) (string, error) {
-		r, err := experiments.Evsim(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"query": func(o experiments.Options) (string, error) {
-		r, err := experiments.Query(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"fanout": func(o experiments.Options) (string, error) {
-		r, err := experiments.Fanout(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-}
-
-// csvRegistry covers the experiments with a CSV rendering (-format csv).
-var csvRegistry = map[string]runner{
-	"table2": func(o experiments.Options) (string, error) {
-		r, err := experiments.Table2(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderCSV(), nil
-	},
-	"table3": func(o experiments.Options) (string, error) {
-		r, err := experiments.Table3(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderCSV(), nil
-	},
-	"table4": func(o experiments.Options) (string, error) {
-		r, err := experiments.Table4(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderCSV(), nil
-	},
-	"sweep": func(o experiments.Options) (string, error) {
-		r, err := experiments.BoundSweep(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderCSV(), nil
-	},
-	"scale": func(o experiments.Options) (string, error) {
-		r, err := experiments.Scale(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderCSV(), nil
-	},
-	"chaos": func(o experiments.Options) (string, error) {
-		r, err := experiments.Chaos(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderCSV(), nil
-	},
-	"heal": func(o experiments.Options) (string, error) {
-		r, err := experiments.Heal(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderCSV(), nil
-	},
-	"serve": func(o experiments.Options) (string, error) {
-		r, err := experiments.Serve(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderCSV(), nil
-	},
-	"store": func(o experiments.Options) (string, error) {
-		r, err := experiments.Store(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderCSV(), nil
-	},
-	"policy": func(o experiments.Options) (string, error) {
-		r, err := experiments.Policy(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderCSV(), nil
-	},
-	"evsim": func(o experiments.Options) (string, error) {
-		r, err := experiments.Evsim(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderCSV(), nil
-	},
-	"query": func(o experiments.Options) (string, error) {
-		r, err := experiments.Query(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderCSV(), nil
-	},
-	"fanout": func(o experiments.Options) (string, error) {
-		r, err := experiments.Fanout(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderCSV(), nil
-	},
-}
-
-// jsonRegistry covers the experiments with a JSON rendering (-format
-// json) — the benchmark artifacts CI publishes (BENCH_evsim.json,
-// BENCH_query.json).
-var jsonRegistry = map[string]runner{
-	"evsim": func(o experiments.Options) (string, error) {
-		r, err := experiments.Evsim(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderJSON()
-	},
-	"query": func(o experiments.Options) (string, error) {
-		r, err := experiments.Query(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderJSON()
-	},
-	"fanout": func(o experiments.Options) (string, error) {
-		r, err := experiments.Fanout(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderJSON()
-	},
+		return text(out), nil
+	}),
+	"sweep":  wrap(experiments.BoundSweep),
+	"queue":  wrap(experiments.Queue),
+	"scale":  wrap(experiments.Scale),
+	"chaos":  wrap(experiments.Chaos),
+	"heal":   wrap(experiments.Heal),
+	"serve":  wrap(experiments.Serve),
+	"store":  wrap(experiments.Store),
+	"policy": wrap(experiments.Policy),
+	"evsim":  wrap(experiments.Evsim),
+	"query":  wrap(experiments.Query),
+	"fanout": wrap(experiments.Fanout),
 }
 
 func names() []string {
@@ -357,28 +148,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		targets = names()
 	}
 	for _, name := range targets {
-		run, ok := registry[name]
+		e, ok := registry[name]
 		if !ok {
 			fmt.Fprintf(stderr, "fluxpowersim: unknown experiment %q (have %s)\n", name, strings.Join(names(), ", "))
 			return 2
 		}
-		switch *format {
-		case "csv":
-			if csvRun, csvOK := csvRegistry[name]; csvOK {
-				run = csvRun
-			} else {
-				fmt.Fprintf(stderr, "fluxpowersim: %q has no CSV rendering\n", name)
-				return 2
-			}
-		case "json":
-			if jsonRun, jsonOK := jsonRegistry[name]; jsonOK {
-				run = jsonRun
-			} else {
-				fmt.Fprintf(stderr, "fluxpowersim: %q has no JSON rendering\n", name)
-				return 2
-			}
+		switch {
+		case *format == "csv" && !e.csv:
+			fmt.Fprintf(stderr, "fluxpowersim: %q has no CSV rendering\n", name)
+			return 2
+		case *format == "json" && !e.json:
+			fmt.Fprintf(stderr, "fluxpowersim: %q has no JSON rendering\n", name)
+			return 2
 		}
-		out, err := run(opts)
+		out, err := render(e, opts, *format)
 		if err != nil {
 			fmt.Fprintf(stderr, "fluxpowersim: %s: %v\n", name, err)
 			return 1
@@ -392,6 +175,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "==== %s ====\n%s\n", name, out)
 	}
 	return 0
+}
+
+// render runs one experiment and renders its result in format; any
+// format other than csv or json renders text.
+func render(e experiment, opts experiments.Options, format string) (string, error) {
+	r, err := e.run(opts)
+	if err != nil {
+		return "", err
+	}
+	switch format {
+	case "csv":
+		return r.(csvResult).RenderCSV(), nil
+	case "json":
+		return r.(jsonResult).RenderJSON()
+	}
+	return r.Render(), nil
 }
 
 func main() {

@@ -95,3 +95,28 @@ func TestRunExperimentEndToEnd(t *testing.T) {
 		t.Fatalf("csv output has no commas: %q", stdout.String())
 	}
 }
+
+func TestRenderingSets(t *testing.T) {
+	// The CSV and JSON sets follow from each result type; pin them so a
+	// registry change cannot drop a rendering unnoticed.
+	cases := []struct {
+		format string
+		has    func(experiment) bool
+		want   string
+	}{
+		{"csv", func(e experiment) bool { return e.csv },
+			"chaos evsim fanout heal policy query scale serve store sweep table2 table3 table4"},
+		{"json", func(e experiment) bool { return e.json }, "evsim fanout query"},
+	}
+	for _, tc := range cases {
+		var got []string
+		for _, name := range names() {
+			if tc.has(registry[name]) {
+				got = append(got, name)
+			}
+		}
+		if strings.Join(got, " ") != tc.want {
+			t.Errorf("%s set = %v, want %s", tc.format, got, tc.want)
+		}
+	}
+}

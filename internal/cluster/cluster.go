@@ -56,10 +56,6 @@ const MonitorModuleName = "power-monitor"
 type Config struct {
 	System System
 	Nodes  int
-	// Fanout is the TBON arity (default 2).
-	Fanout int
-	// Tick is the simulation step (default 100 ms).
-	Tick time.Duration
 	// Seed drives all stochastic elements (sensor noise, jitter, cap
 	// failures). Same seed, same run.
 	Seed int64
@@ -102,14 +98,21 @@ type Config struct {
 	// energy with identical per-Δt math on the same tick grid; the
 	// tick-equivalence suite holds them to matching results.
 	Engine string
-	// EngineShards sets the number of per-rank event-queue shards in
-	// EngineEvent mode (0 = auto: min(Nodes, 64)). Shard 0 is reserved
-	// for the engine's own job-progress events so that, at shared
+}
+
+const (
+	// tbonFanout is the TBON arity.
+	tbonFanout = 2
+	// tick is the simulation step.
+	tick = 100 * time.Millisecond
+	// maxEngineShards caps the per-rank event-queue shards in EngineEvent
+	// mode; a cluster uses min(Nodes, maxEngineShards). Shard 0 is
+	// reserved for the engine's own job-progress events so that, at shared
 	// instants, demand updates precede module sampling — the same
 	// ordering the tick engine guarantees by registering its ticker
 	// first.
-	EngineShards int
-}
+	maxEngineShards = 64
+)
 
 // Engine values for Config.Engine.
 const (
@@ -118,23 +121,8 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.Fanout == 0 {
-		c.Fanout = 2
-	}
-	if c.Tick == 0 {
-		c.Tick = 100 * time.Millisecond
-	}
 	if c.Engine == "" {
 		c.Engine = EngineTick
-	}
-	if c.Engine == EngineEvent && c.EngineShards <= 0 {
-		c.EngineShards = c.Nodes
-		if c.EngineShards > 64 {
-			c.EngineShards = 64
-		}
-		if c.EngineShards < 1 {
-			c.EngineShards = 1
-		}
 	}
 	if c.MonitorOverheadFrac < 0 {
 		switch c.System {
@@ -233,13 +221,14 @@ func New(cfg Config) (*Cluster, error) {
 	nodeCfg.GPUCapFailureProb = cfg.GPUCapFailureProb
 
 	// EngineEvent runs on a sharded event queue: shard 0 is the engine's
-	// (job progress), shards 1..EngineShards hold broker/module timers in
+	// (job progress), shards 1..shards hold broker/module timers in
 	// contiguous rank blocks, so cross-rank firing order at a shared
 	// instant stays rank order — matching the tick engine's load-order
 	// tie-break.
+	shards := min(cfg.Nodes, maxEngineShards)
 	var sched *simtime.Scheduler
 	if cfg.Engine == EngineEvent {
-		sched = simtime.NewShardedScheduler(1 + cfg.EngineShards)
+		sched = simtime.NewShardedScheduler(1 + shards)
 	} else {
 		sched = simtime.NewScheduler()
 	}
@@ -265,12 +254,12 @@ func New(cfg Config) (*Cluster, error) {
 	var timersFor func(rank int32) simtime.TimerProvider
 	if cfg.Engine == EngineEvent {
 		timersFor = func(rank int32) simtime.TimerProvider {
-			return sched.Shard(1 + int(rank)*cfg.EngineShards/cfg.Nodes)
+			return sched.Shard(1 + int(rank)*shards/cfg.Nodes)
 		}
 	}
 	inst, err := broker.NewInstance(broker.InstanceOptions{
 		Size:        cfg.Nodes,
-		Fanout:      cfg.Fanout,
+		Fanout:      tbonFanout,
 		Scheduler:   sched,
 		TimersFor:   timersFor,
 		Local:       func(rank int32) any { return c.nodes[rank] },
@@ -288,7 +277,7 @@ func New(cfg Config) (*Cluster, error) {
 		// demand is updated before any module timer samples power. (The
 		// event engine gets the same guarantee from shard 0 being the
 		// lowest shard.)
-		c.ticker = sched.TickEvery(cfg.Tick, c.onTick)
+		c.ticker = sched.TickEvery(tick, c.onTick)
 	}
 
 	if err := inst.Root().LoadModule(kvs.New()); err != nil {
@@ -501,7 +490,7 @@ func (c *Cluster) onTick(now simtime.Time) {
 	if c.closed.Load() {
 		return
 	}
-	dt := c.cfg.Tick.Seconds()
+	dt := tick.Seconds()
 	ids := make([]uint64, 0, len(c.running))
 	for id := range c.running {
 		ids = append(ids, id)
@@ -608,7 +597,7 @@ func (c *Cluster) RunUntilIdle(limit time.Duration) (simtime.Time, bool) {
 			return c.Sched.Now(), true
 		}
 		// Advance one tick at a time; timers fire in-order.
-		step := c.cfg.Tick
+		step := tick
 		if remaining := end.Sub(c.Sched.Now()); remaining < step {
 			step = remaining
 		}

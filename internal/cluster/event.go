@@ -7,7 +7,7 @@ import "fluxpower/internal/simtime"
 // Instead of one global ticker advancing every running job each Δt, every
 // running job owns a pooled one-shot event on the engine shard (shard 0)
 // that re-arms itself after each advance. The per-event work is identical
-// to the tick engine's per-job work — advanceJob with dt = Tick — and the
+// to the tick engine's per-job work — advanceJob with dt = tick — and the
 // events are pinned to the same global tick grid the ticker fires on, so
 // the two engines integrate the same math at the same instants. What
 // changes is the cost model: simulated time jumps from event to event, so
@@ -18,10 +18,10 @@ import "fluxpower/internal/simtime"
 // nextGrid returns the first global tick-grid instant strictly after now.
 // Grid alignment is what makes the engines tick-equivalent: a job started
 // mid-grid still takes its first (full-Δt) advance at the next multiple
-// of Tick, exactly when the tick engine's ticker would have reached it.
+// of tick, exactly when the tick engine's ticker would have reached it.
 func (c *Cluster) nextGrid(now simtime.Time) simtime.Time {
-	tick := simtime.Time(c.cfg.Tick)
-	return (now/tick + 1) * tick
+	step := simtime.Time(tick)
+	return (now/step + 1) * step
 }
 
 // scheduleJobEvent arms (or re-arms) a running job's next progress event.
@@ -44,7 +44,7 @@ func (c *Cluster) onJobEvent(rj *runningJob) {
 		// onJobFinish makes this unreachable in practice; belt and braces).
 		return
 	}
-	if c.advanceJob(rj, c.cfg.Tick.Seconds()) {
+	if c.advanceJob(rj, tick.Seconds()) {
 		_, _ = c.JM.Finish(rj.rec.ID) // triggers onJobFinish + rescheduling
 		return
 	}
@@ -70,7 +70,7 @@ func (si *SubInstance) onSubJobEvent(rj *runningJob) {
 	if cur, ok := si.running[rj.rec.ID]; !ok || cur != rj {
 		return
 	}
-	if si.advanceSubJob(rj, c.cfg.Tick.Seconds()) {
+	if si.advanceSubJob(rj, tick.Seconds()) {
 		_, _ = si.JM.Finish(rj.rec.ID)
 		return
 	}

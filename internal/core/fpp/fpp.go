@@ -20,35 +20,36 @@ import (
 	"fluxpower/internal/fft"
 )
 
-// Config carries Algorithm 1's constants. The defaults are the paper's
-// values for an NVIDIA Volta-class GPU and are customizable.
-type Config struct {
-	// ConvergeThSec: |ΔT| at or below this means converged (line 12).
-	ConvergeThSec float64
-	// ChangeThSec: |ΔT| below this (with shrinking period) triggers a
+// Algorithm 1's fixed constants: the paper's values for an NVIDIA
+// Volta-class GPU.
+const (
+	// convergeThSec: |ΔT| at or below this means converged (line 12).
+	convergeThSec = 2
+	// changeThSec: |ΔT| below this (with shrinking period) triggers a
 	// power reduction (line 13).
-	ChangeThSec float64
-	// PReduceW is the reduction step (line 14).
-	PReduceW float64
-	// Levels are the increase steps indexed by |ΔT|/5 capped at 2
-	// (lines 16, 28).
-	Levels [3]float64
+	changeThSec = 5
+	// pReduceW is the reduction step (line 14).
+	pReduceW = 50
+	// CapIntervalSec is powercap_time: how often caps are re-evaluated
+	// (line 32). The node-level manager runs Interval on this period.
+	CapIntervalSec = 90
+	// detectorProminence makes the period detector a raw spectral argmax.
+	// Like the paper's FINDPERIOD it always reports the strongest peak,
+	// so aperiodic signals yield unstable estimates — which is exactly
+	// what makes FPP hand power back to GEMM ("sees that the period
+	// doubles and instantly gives back the power", §IV-D).
+	detectorProminence = 1
+)
+
+// Config carries the device-specific parameters of Algorithm 1. Zero
+// fields take the paper's values for an NVIDIA Volta-class GPU.
+type Config struct {
 	// MaxGPUCapW is the vendor maximum (line 35).
 	MaxGPUCapW float64
 	// MinGPUCapW is the vendor minimum (100 W for Volta).
 	MinGPUCapW float64
-	// CapIntervalSec is powercap_time: how often caps are re-evaluated
-	// (line 32).
-	CapIntervalSec float64
 	// SampleIntervalSec is the telemetry sampling period feeding the FFT.
 	SampleIntervalSec float64
-	// Detector estimates the period. The default is a raw spectral
-	// argmax (prominence 1): like the paper's FINDPERIOD it always
-	// reports the strongest peak, so aperiodic signals yield unstable
-	// estimates — which is exactly what makes FPP hand power back to
-	// GEMM ("sees that the period doubles and instantly gives back the
-	// power", §IV-D).
-	Detector fft.PeriodDetector
 	// PersistConvergence selects between the two readings of Algorithm 1.
 	// The paper's prose says "power adjustments cease when the delta
 	// falls below the convergence threshold", but the listing initializes
@@ -60,49 +61,15 @@ type Config struct {
 	PersistConvergence bool
 }
 
-// Default returns the paper's constants.
-func Default() Config {
-	return Config{
-		ConvergeThSec:     2,
-		ChangeThSec:       5,
-		PReduceW:          50,
-		Levels:            [3]float64{10, 15, 25},
-		MaxGPUCapW:        300,
-		MinGPUCapW:        100,
-		CapIntervalSec:    90,
-		SampleIntervalSec: 2,
-		Detector:          fft.SpectralDetector{MinProminence: 1},
-	}
-}
-
 func (c Config) withDefaults() Config {
-	d := Default()
-	if c.ConvergeThSec == 0 {
-		c.ConvergeThSec = d.ConvergeThSec
-	}
-	if c.ChangeThSec == 0 {
-		c.ChangeThSec = d.ChangeThSec
-	}
-	if c.PReduceW == 0 {
-		c.PReduceW = d.PReduceW
-	}
-	if c.Levels == ([3]float64{}) {
-		c.Levels = d.Levels
-	}
 	if c.MaxGPUCapW == 0 {
-		c.MaxGPUCapW = d.MaxGPUCapW
+		c.MaxGPUCapW = 300
 	}
 	if c.MinGPUCapW == 0 {
-		c.MinGPUCapW = d.MinGPUCapW
-	}
-	if c.CapIntervalSec == 0 {
-		c.CapIntervalSec = d.CapIntervalSec
+		c.MinGPUCapW = 100
 	}
 	if c.SampleIntervalSec == 0 {
-		c.SampleIntervalSec = d.SampleIntervalSec
-	}
-	if c.Detector == nil {
-		c.Detector = d.Detector
+		c.SampleIntervalSec = 2
 	}
 	return c
 }
@@ -179,7 +146,8 @@ func (c *Controller) SetLimit(gpuPowerLim float64) {
 // period from the buffered samples, compute the next cap, reset the
 // buffer. It returns the cap to enforce and whether it changed.
 func (c *Controller) Interval() (capW float64, changed bool) {
-	tCur, ok, err := c.cfg.Detector.DetectPeriod(c.buf, c.cfg.SampleIntervalSec)
+	detector := fft.SpectralDetector{MinProminence: detectorProminence}
+	tCur, ok, err := detector.DetectPeriod(c.buf, c.cfg.SampleIntervalSec)
 	c.buf = c.buf[:0] // line 42: reset FFT buffer
 	if err != nil || !ok {
 		// No estimate (constant or near-empty signal): treat the period
@@ -210,18 +178,19 @@ func (c *Controller) nextCap(tCur float64) float64 {
 		abs = -abs
 	}
 	switch {
-	case abs <= c.cfg.ConvergeThSec: // line 22
+	case abs <= convergeThSec: // line 22
 		c.converged = true
 		return c.capCur
-	case delta < 0 && abs < c.cfg.ChangeThSec: // line 25
+	case delta < 0 && abs < changeThSec: // line 25
 		c.converged = c.cfg.PersistConvergence && c.converged
-		return c.capCur - c.cfg.PReduceW
+		return c.capCur - pReduceW
 	default: // line 28
 		c.converged = c.cfg.PersistConvergence && c.converged
+		// The increase steps, indexed by |ΔT|/5 capped at 2 (line 16).
 		idx := int(abs / 5)
 		if idx > 2 {
 			idx = 2
 		}
-		return c.capCur + c.cfg.Levels[idx]
+		return c.capCur + [3]float64{10, 15, 25}[idx]
 	}
 }

@@ -227,15 +227,12 @@ func TestSetLimitResets(t *testing.T) {
 }
 
 func TestDefaultsMatchPaper(t *testing.T) {
-	d := Default()
-	if d.ConvergeThSec != 2 || d.ChangeThSec != 5 || d.PReduceW != 50 {
-		t.Fatalf("thresholds: %+v", d)
+	if convergeThSec != 2 || changeThSec != 5 || pReduceW != 50 {
+		t.Fatalf("thresholds: %v %v %v", convergeThSec, changeThSec, pReduceW)
 	}
-	if d.Levels != [3]float64{10, 15, 25} {
-		t.Fatalf("levels: %v", d.Levels)
-	}
-	if d.MaxGPUCapW != 300 || d.CapIntervalSec != 90 {
-		t.Fatalf("caps: %+v", d)
+	d := Config{}.withDefaults()
+	if d.MaxGPUCapW != 300 || d.MinGPUCapW != 100 || CapIntervalSec != 90 {
+		t.Fatalf("caps: %+v, interval %v", d, CapIntervalSec)
 	}
 }
 

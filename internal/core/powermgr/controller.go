@@ -31,56 +31,43 @@ type ControllerConfig struct {
 	Mode string
 	// Interval is the observation/retune period (default 4 s).
 	Interval time.Duration
-	// Kp and Ki are the PI gains on the cap-tracking error in watts
-	// (defaults 0.5 and 0.08/s).
-	Kp, Ki float64
+	// Kp is the proportional gain on the cap-tracking error in watts
+	// (default 0.5).
+	Kp float64
 	// HeadroomW is how far above a job's observed draw its cap should
 	// settle (default 40 W per node): enough to let demand grow and be
 	// seen, small enough to keep slack reclaimable.
 	HeadroomW float64
-	// MarginW is the violation threshold: an observation more than
-	// MarginW above the cap counts as a cap violation (default 20 W).
-	MarginW float64
-	// SustainedRounds is how many consecutive violating rounds make a
-	// violation "sustained" (default 3).
-	SustainedRounds int
 	// MaxStepW bounds one round's per-node cap change (default 200 W),
 	// keeping the loop stable against telemetry spikes.
 	MaxStepW float64
-	// HistoryLen bounds the per-job cap history ring (default 64).
-	HistoryLen int
-	// ObserveTimeout bounds each node observation RPC (defaults to the
-	// manager's PushTimeout).
-	ObserveTimeout time.Duration
 }
 
-func (c ControllerConfig) withDefaults(pushTimeout time.Duration) ControllerConfig {
+const (
+	// ctlKi is the PI integral gain, per second.
+	ctlKi = 0.08
+	// ctlMarginW is the violation threshold: an observation more than
+	// ctlMarginW above the cap counts as a cap violation.
+	ctlMarginW = 20
+	// ctlSustainedRounds is how many consecutive violating rounds make a
+	// violation "sustained".
+	ctlSustainedRounds = 3
+	// ctlHistoryLen bounds the per-job cap history ring.
+	ctlHistoryLen = 64
+)
+
+func (c ControllerConfig) withDefaults() ControllerConfig {
 	if c.Interval <= 0 {
 		c.Interval = 4 * time.Second
 	}
 	if c.Kp == 0 {
 		c.Kp = 0.5
 	}
-	if c.Ki == 0 {
-		c.Ki = 0.08
-	}
 	if c.HeadroomW == 0 {
 		c.HeadroomW = 40
 	}
-	if c.MarginW == 0 {
-		c.MarginW = 20
-	}
-	if c.SustainedRounds == 0 {
-		c.SustainedRounds = 3
-	}
 	if c.MaxStepW == 0 {
 		c.MaxStepW = 200
-	}
-	if c.HistoryLen == 0 {
-		c.HistoryLen = 64
-	}
-	if c.ObserveTimeout <= 0 {
-		c.ObserveTimeout = pushTimeout
 	}
 	return c
 }
@@ -99,7 +86,7 @@ type jobCtl struct {
 	violations   uint64
 	sustained    uint64
 	consecutive  int
-	integ        float64 // integral term, watt-seconds scaled by Ki
+	integ        float64 // integral term, watt-seconds scaled by ctlKi
 	lastObsW     float64 // last observed per-node draw
 	lastTargetW  float64
 	retunes      uint64
@@ -144,8 +131,8 @@ func (m *Manager) recordCapLocked(jobID uint64, perNodeW float64) {
 		Sec:      m.ctx.Clock().Now().Seconds(),
 		PerNodeW: perNodeW,
 	})
-	if len(jc.capHist) > m.ctl.HistoryLen {
-		jc.capHist = jc.capHist[len(jc.capHist)-m.ctl.HistoryLen:]
+	if len(jc.capHist) > ctlHistoryLen {
+		jc.capHist = jc.capHist[len(jc.capHist)-ctlHistoryLen:]
 	}
 }
 
@@ -209,7 +196,7 @@ func (m *Manager) onControllerInterval(simtime.Time) {
 
 	for _, tg := range targets {
 		tg := tg
-		f := m.ctx.RPCWithTimeout(tg.rank, "power-manager.node.observe", nil, m.ctl.ObserveTimeout)
+		f := m.ctx.RPCWithTimeout(tg.rank, "power-manager.node.observe", nil, m.cfg.PushTimeout)
 		f.Then(func(resp *msg.Message) {
 			var done bool
 			round.Lock()
@@ -294,11 +281,11 @@ func (m *Manager) controllerRound(obs map[uint64][]float64) {
 		jc.lastObsW = mean
 
 		// Violation accounting (observe and retune modes alike).
-		if a.PerNodeW > 0 && mean > a.PerNodeW+m.ctl.MarginW {
+		if a.PerNodeW > 0 && mean > a.PerNodeW+ctlMarginW {
 			jc.violations++
 			m.ctlViolations++
 			jc.consecutive++
-			if jc.consecutive == m.ctl.SustainedRounds {
+			if jc.consecutive == ctlSustainedRounds {
 				jc.sustained++
 				m.ctlSustained++
 			}
@@ -314,7 +301,7 @@ func (m *Manager) controllerRound(obs map[uint64][]float64) {
 		target := mean + m.ctl.HeadroomW
 		jc.lastTargetW = target
 		e := target - a.PerNodeW
-		delta := m.ctl.Kp*e + m.ctl.Ki*jc.integ
+		delta := m.ctl.Kp*e + ctlKi*jc.integ
 		if delta > m.ctl.MaxStepW {
 			delta = m.ctl.MaxStepW
 		} else if delta < -m.ctl.MaxStepW {
@@ -473,7 +460,7 @@ func (m *Manager) controllerRound(obs map[uint64][]float64) {
 // manufactures violations the hardware cannot prevent.
 func (m *Manager) capFloorW() float64 {
 	cfg := m.node.Config()
-	return m.cfg.IdleReserveW + float64(cfg.GPUs)*cfg.GPUMinPowerW
+	return idleReserveW + float64(cfg.GPUs)*cfg.GPUMinPowerW
 }
 
 // controllerStatusLocked assembles the controller section of

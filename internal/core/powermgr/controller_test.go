@@ -144,7 +144,7 @@ func TestControllerRetuneHoldsBudget(t *testing.T) {
 
 func TestControllerCapsRespectHardwareFloor(t *testing.T) {
 	// An idle-ish job must not be squeezed below what the enforcement
-	// path can express: IdleReserveW + GPUs×GPUMinW = 400 + 4×100 = 800 W
+	// path can express: idleReserveW + GPUs×GPUMinW = 400 + 4×100 = 800 W
 	// on Lassen.
 	c := ctlCluster(t, 4, 4800, ControllerRetune)
 	pm := NewClient(c.Inst.Root())

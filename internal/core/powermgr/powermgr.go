@@ -70,23 +70,11 @@ type Config struct {
 	GlobalCapW float64
 	// StaticNodeCapW is the per-node vendor cap under PolicyStatic.
 	StaticNodeCapW float64
-	// BackstopNodeCapW is the vendor node cap installed as a safety
-	// backstop under proportional/FPP (default 1950 W).
-	BackstopNodeCapW float64
-	// IdleReserveW is the per-node power reserved for CPU/memory/uncore
-	// when deriving GPU caps from a node limit (default 400 W, the
-	// paper's measured idle).
-	IdleReserveW float64
-	// SampleInterval is the node-level manager's power tracking period
-	// (default 2 s).
-	SampleInterval time.Duration
 	// PushTimeout bounds each node-limit RPC issued by the job-level
 	// manager (default 5 s). A node that cannot acknowledge in time is
 	// recorded as a push failure instead of blocking the rest of the
 	// job's ranks.
 	PushTimeout time.Duration
-	// FPP carries Algorithm 1's constants (zero values = paper defaults).
-	FPP fpp.Config
 	// Controller configures the closed-loop budget controller layered on
 	// the proportional split (rank 0): observation rounds compare each
 	// job's measured draw against its cap; retune mode reclaims slack
@@ -95,23 +83,25 @@ type Config struct {
 	Controller ControllerConfig
 }
 
+const (
+	// backstopNodeCapW is the vendor node cap installed as a safety
+	// backstop under proportional/FPP.
+	backstopNodeCapW = 1950
+	// idleReserveW is the per-node power reserved for CPU/memory/uncore
+	// when deriving GPU caps from a node limit: the paper's measured idle.
+	idleReserveW = 400
+	// sampleInterval is the node-level manager's power tracking period.
+	sampleInterval = 2 * time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.Policy == "" {
 		c.Policy = PolicyNone
 	}
-	if c.BackstopNodeCapW == 0 {
-		c.BackstopNodeCapW = 1950
-	}
-	if c.IdleReserveW == 0 {
-		c.IdleReserveW = 400
-	}
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = 2 * time.Second
-	}
 	if c.PushTimeout <= 0 {
 		c.PushTimeout = 5 * time.Second
 	}
-	c.Controller = c.Controller.withDefaults(c.PushTimeout)
+	c.Controller = c.Controller.withDefaults()
 	return c
 }
 
@@ -217,7 +207,7 @@ func (m *Manager) Init(ctx *broker.Context) error {
 	}
 	// Node-level power tracking "in a separate thread" (§III-B): the
 	// sampling timer feeding the FPP controllers.
-	if _, err := ctx.Every(m.cfg.SampleInterval, m.onSample); err != nil {
+	if _, err := ctx.Every(sampleInterval, m.onSample); err != nil {
 		return err
 	}
 
@@ -261,11 +251,7 @@ func (m *Manager) Init(ctx *broker.Context) error {
 	// The FPP interval timer is always armed: even on clusters whose
 	// default is proportional, individual jobs may request FPP. It is a
 	// no-op while no controllers exist.
-	ival := m.cfg.FPP.CapIntervalSec
-	if ival == 0 {
-		ival = fpp.Default().CapIntervalSec
-	}
-	if _, err := ctx.Every(time.Duration(ival*float64(time.Second)), m.onFPPInterval); err != nil {
+	if _, err := ctx.Every(fpp.CapIntervalSec*time.Second, m.onFPPInterval); err != nil {
 		return err
 	}
 	return nil
@@ -661,11 +647,7 @@ func (m *Manager) enforceLocked(limitW float64, policy Policy) error {
 			return nil
 		}
 		if caps.NodeCap {
-			backstop := m.cfg.BackstopNodeCapW
-			if backstop > caps.NodeMaxW {
-				backstop = caps.NodeMaxW
-			}
-			if backstop > 0 {
+			if backstop := min(backstopNodeCapW, caps.NodeMaxW); backstop > 0 {
 				m.capWrites++
 				if err := m.node.SetNodeCap(backstop); err != nil {
 					return err
@@ -697,7 +679,7 @@ func (m *Manager) deriveGPUCap(limitW float64, caps variorum.Capabilities) float
 	if caps.GPUs == 0 {
 		return 0
 	}
-	w := (limitW - m.cfg.IdleReserveW) / float64(caps.GPUs)
+	w := (limitW - idleReserveW) / float64(caps.GPUs)
 	if w > caps.GPUMaxW {
 		w = caps.GPUMaxW
 	}
@@ -752,15 +734,10 @@ func (m *Manager) writeGPUCapVerified(gpu int, watts float64) error {
 
 // startFPPLocked (re)initializes per-GPU controllers at the derived cap.
 func (m *Manager) startFPPLocked(gpuCap float64, caps variorum.Capabilities) error {
-	fppCfg := m.cfg.FPP
-	if fppCfg.MaxGPUCapW == 0 {
-		fppCfg.MaxGPUCapW = caps.GPUMaxW
-	}
-	if fppCfg.MinGPUCapW == 0 {
-		fppCfg.MinGPUCapW = caps.GPUMinW
-	}
-	if fppCfg.SampleIntervalSec == 0 {
-		fppCfg.SampleIntervalSec = m.cfg.SampleInterval.Seconds()
+	fppCfg := fpp.Config{
+		MaxGPUCapW:        caps.GPUMaxW,
+		MinGPUCapW:        caps.GPUMinW,
+		SampleIntervalSec: sampleInterval.Seconds(),
 	}
 	if len(m.fppCtrls) != caps.GPUs {
 		m.fppCtrls = make([]*fpp.Controller, caps.GPUs)

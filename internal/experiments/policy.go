@@ -80,7 +80,7 @@ type PolicyRow struct {
 	MaxQueueWaitSec  float64
 	Rounds           uint64 // controller observation rounds completed
 	Violations       uint64 // controller rounds with a job > cap+margin
-	Sustained        uint64 // violations lasting >= SustainedRounds rounds
+	Sustained        uint64 // violations lasting >= 3 consecutive rounds
 	ReclaimedKW      float64
 	GrantedKW        float64
 	TotalEnergyKJ    float64 // sum over jobs of per-node energy x nodes
@@ -118,7 +118,7 @@ func (r *PolicyResult) Row(name string) (PolicyRow, bool) {
 
 // policyControllerCfg is the controller tuning the experiment uses: a
 // shorter interval and snappier gains than the defaults so grants to a
-// throttled job converge within SustainedRounds rounds — the loop must
+// throttled job converge within the 3 sustained rounds — the loop must
 // clear a violation before it counts as sustained, which is the gated
 // acceptance bar. The headroom is deliberately generous: a job throttled
 // at its cap draws exactly its cap, so the tracking error the loop can

@@ -23,18 +23,16 @@ type Config struct {
 	// RingFrames is each job ring's capacity: how many frames a slow
 	// subscriber may lag before eviction. Default 1024.
 	RingFrames int
-	// ResolveTimeout bounds each job-record resolve RPC. Default 5s.
-	ResolveTimeout time.Duration
 	// Now overrides the wall clock frames are stamped with (tests).
 	Now func() time.Time
 }
 
+// resolveTimeout bounds each job-record resolve RPC.
+const resolveTimeout = 5 * time.Second
+
 func (c Config) withDefaults() Config {
 	if c.RingFrames <= 0 {
 		c.RingFrames = 1024
-	}
-	if c.ResolveTimeout <= 0 {
-		c.ResolveTimeout = 5 * time.Second
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -348,7 +346,7 @@ func (h *Hub) ensure(ctx context.Context, jobID uint64) (*ring, error) {
 
 // resolve fetches the job record over the shared upstream attachment.
 func (h *Hub) resolve(ctx context.Context, jobID uint64) (job.Record, error) {
-	rctx, cancel := context.WithTimeout(ctx, h.cfg.ResolveTimeout)
+	rctx, cancel := context.WithTimeout(ctx, resolveTimeout)
 	defer cancel()
 	h.upstream.Lock()
 	resp, err := h.cfg.Broker.CallContext(rctx, msg.NodeAny, "job-manager.info", map[string]uint64{"id": jobID})

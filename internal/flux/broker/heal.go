@@ -52,9 +52,6 @@ type HealConfig struct {
 	// MissThreshold is how many silent intervals mark a peer dead
 	// (default 3).
 	MissThreshold int
-	// ReattachTimeout bounds one reattach attempt before the orphan
-	// advances to the next candidate parent (default 2*Interval).
-	ReattachTimeout time.Duration
 }
 
 func (c HealConfig) withDefaults() HealConfig {
@@ -63,9 +60,6 @@ func (c HealConfig) withDefaults() HealConfig {
 	}
 	if c.MissThreshold <= 0 {
 		c.MissThreshold = 3
-	}
-	if c.ReattachTimeout <= 0 {
-		c.ReattachTimeout = 2 * c.Interval
 	}
 	return c
 }
@@ -440,7 +434,9 @@ func (b *Broker) healTick(now simtime.Time) {
 	}
 	h.mu.Lock()
 	if h.reattaching {
-		if now.Sub(h.sentAt) < h.cfg.ReattachTimeout {
+		// One reattach attempt gets two heartbeat intervals before the
+		// orphan advances to the next candidate parent.
+		if now.Sub(h.sentAt) < 2*h.cfg.Interval {
 			h.mu.Unlock()
 			return
 		}
@@ -576,7 +572,7 @@ func (b *Broker) beginReattach(now simtime.Time) {
 // candidate, obtain a link to it (existing parent link, or a fresh
 // dial), and send the reattach request. A send failure advances
 // immediately, bounded to one pass over the candidate list per
-// invocation; the periodic ReattachTimeout expiry retries after that.
+// invocation; the periodic reattach-timeout expiry retries after that.
 func (b *Broker) tryNextCandidate(now simtime.Time) {
 	h := b.heal
 	for attempt := 0; ; attempt++ {
@@ -627,7 +623,7 @@ func (b *Broker) tryNextCandidate(now simtime.Time) {
 
 		req := newControl(healReattachTopic, b.rank, healReattach{Ranks: b.ownSubtreeRanks()})
 		if err := link.Send(req); err == nil {
-			return // wait for the ack or the ReattachTimeout
+			return // wait for the ack or the reattach timeout
 		}
 		// Unreachable candidate: clear the attempt if it is still ours
 		// (the inline ack may have resolved it despite the error) and

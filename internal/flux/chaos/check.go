@@ -103,9 +103,6 @@ type CheckConfig struct {
 	// subtree is missing. Requires the power-query module loaded
 	// instance-wide over a power monitor.
 	Query bool
-	// QueryExpr overrides the expression the query check evaluates
-	// (default "count(max_over_time(node_power_watts[30s]))").
-	QueryExpr string
 	// Heal enables the self-healing convergence invariants: after faults
 	// clear, the root's subtree accounting must cover every rank not
 	// permanently crashed, and the parent/child topology must be a
@@ -136,11 +133,11 @@ func (c CheckConfig) withDefaults() CheckConfig {
 	if c.AckMarginSec <= 0 {
 		c.AckMarginSec = 0.05
 	}
-	if c.QueryExpr == "" {
-		c.QueryExpr = "count(max_over_time(node_power_watts[30s]))"
-	}
 	return c
 }
+
+// checkQueryExpr is the expression the query conservation check evaluates.
+const checkQueryExpr = "count(max_over_time(node_power_watts[30s]))"
 
 // Check asserts the chaos invariants and returns every violation found
 // (empty = all hold). Call it after Disarm and a quiesce interval long
@@ -221,7 +218,7 @@ func Check(cfg CheckConfig) []Violation {
 func checkQuery(cfg CheckConfig, root *broker.Broker, size int) []Violation {
 	var vs []Violation
 	resp, err := root.CallTimeout(msg.NodeAny, query.EvalService,
-		query.EvalRequest{Expr: cfg.QueryExpr}, cfg.RPCTimeout)
+		query.EvalRequest{Expr: checkQueryExpr}, cfg.RPCTimeout)
 	if err != nil {
 		vs = append(vs, Violation{"probe-failed", -1, fmt.Sprintf("query eval: %v", err)})
 		return vs

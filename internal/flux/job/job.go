@@ -24,7 +24,6 @@ import (
 	"sync"
 
 	"fluxpower/internal/flux/broker"
-	"fluxpower/internal/flux/kvs"
 	"fluxpower/internal/flux/msg"
 	"fluxpower/internal/hw"
 	"fluxpower/internal/sched"
@@ -123,8 +122,6 @@ type Options struct {
 	// HW is the machine model the predictor derives catalog priors from.
 	// The zero Config falls back to Lassen.
 	HW hw.Config
-	// Predictor tunes the power predictor.
-	Predictor sched.PredictorConfig
 }
 
 // Manager is the job-manager broker module. Load it on rank 0.
@@ -139,7 +136,6 @@ type Manager struct {
 	records map[uint64]*Record
 	queue   []uint64 // submission order, SCHED state only
 	nextID  uint64
-	kvs     *kvs.Client // optional mirror; nil if no KVS module
 
 	// queue-wait accounting over started jobs
 	waitCount  int
@@ -184,9 +180,8 @@ func (m *Manager) Init(ctx *broker.Context) error {
 	if err != nil {
 		policy = sched.FCFS{}
 	}
-	m.pred = sched.NewPredictor(m.opts.HW, m.opts.Predictor)
+	m.pred = sched.NewPredictor(m.opts.HW, sched.PredictorConfig{})
 	m.disp = sched.NewDispatcher(sched.NewPool(m.computeRanks), policy, m.opts.BudgetW)
-	m.kvs = kvs.NewClient(ctx.Broker())
 	return ctx.RegisterService(ModuleName, func(req *broker.Request) {
 		switch req.Msg.Topic {
 		case "job-manager.submit":
@@ -289,7 +284,6 @@ func (m *Manager) trySchedule() {
 	m.mu.Unlock()
 
 	for i := range started {
-		m.mirror(&started[i])
 		_ = m.ctx.Publish(EventStart, started[i])
 	}
 }
@@ -324,7 +318,6 @@ func (m *Manager) handleFinish(req *broker.Request) {
 	m.mu.Unlock()
 
 	m.observe(finished)
-	m.mirror(&finished)
 	_ = m.ctx.Publish(EventFinish, finished)
 	_ = req.Respond(finished)
 	m.trySchedule()
@@ -380,7 +373,6 @@ func (m *Manager) handleCancel(req *broker.Request) {
 	}
 	cancelled := *rec
 	m.mu.Unlock()
-	m.mirror(&cancelled)
 	_ = req.Respond(cancelled)
 	m.trySchedule()
 }
@@ -441,15 +433,6 @@ func (m *Manager) handleSched(req *broker.Request) {
 	st.MaxQueueWaitSec = m.waitMaxSec
 	m.mu.Unlock()
 	_ = req.Respond(st)
-}
-
-// mirror best-effort copies the record into the KVS (job.<id>); absence of
-// a KVS module is not an error.
-func (m *Manager) mirror(rec *Record) {
-	if m.kvs == nil {
-		return
-	}
-	_ = m.kvs.Put(fmt.Sprintf("job.%d", rec.ID), rec)
 }
 
 // Client wraps the job-manager services for any broker in the instance.

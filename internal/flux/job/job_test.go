@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fluxpower/internal/flux/broker"
-	"fluxpower/internal/flux/kvs"
 	"fluxpower/internal/flux/msg"
 	"fluxpower/internal/simtime"
 )
@@ -16,17 +15,12 @@ type harness struct {
 	jm    *Client
 }
 
-func newHarness(t *testing.T, size int, withKVS bool) *harness {
+func newHarness(t *testing.T, size int) *harness {
 	t.Helper()
 	s := simtime.NewScheduler()
 	inst, err := broker.NewInstance(broker.InstanceOptions{Size: size, Scheduler: s})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if withKVS {
-		if err := inst.Root().LoadModule(kvs.New()); err != nil {
-			t.Fatal(err)
-		}
 	}
 	ranks := make([]int32, size)
 	for i := range ranks {
@@ -57,7 +51,7 @@ func TestSpecValidate(t *testing.T) {
 }
 
 func TestSubmitRunsImmediatelyWhenNodesFree(t *testing.T) {
-	h := newHarness(t, 4, false)
+	h := newHarness(t, 4)
 	var started []Record
 	h.inst.Root().Subscribe(EventStart, func(ev *msg.Message) {
 		var rec Record
@@ -94,7 +88,7 @@ func TestSubmitRunsImmediatelyWhenNodesFree(t *testing.T) {
 }
 
 func TestFCFSQueueingNoBackfill(t *testing.T) {
-	h := newHarness(t, 4, false)
+	h := newHarness(t, 4)
 	a, _ := h.jm.Submit(Spec{App: "gemm", Nodes: 3})
 	b, _ := h.jm.Submit(Spec{App: "qs", Nodes: 3}) // cannot fit
 	c, _ := h.jm.Submit(Spec{App: "qs", Nodes: 1}) // would fit, but FCFS blocks it
@@ -118,7 +112,7 @@ func TestFCFSQueueingNoBackfill(t *testing.T) {
 }
 
 func TestFinishRecordsTimes(t *testing.T) {
-	h := newHarness(t, 2, false)
+	h := newHarness(t, 2)
 	h.sched.Advance(5e9) // T+5s
 	id, _ := h.jm.Submit(Spec{App: "gemm", Nodes: 1})
 	h.sched.Advance(10e9) // T+15s
@@ -135,7 +129,7 @@ func TestFinishRecordsTimes(t *testing.T) {
 }
 
 func TestFinishErrors(t *testing.T) {
-	h := newHarness(t, 2, false)
+	h := newHarness(t, 2)
 	if _, err := h.jm.Finish(99); err == nil {
 		t.Fatal("finish of unknown job succeeded")
 	}
@@ -149,7 +143,7 @@ func TestFinishErrors(t *testing.T) {
 }
 
 func TestCancelQueuedJob(t *testing.T) {
-	h := newHarness(t, 2, false)
+	h := newHarness(t, 2)
 	a, _ := h.jm.Submit(Spec{App: "gemm", Nodes: 2})
 	b, _ := h.jm.Submit(Spec{App: "qs", Nodes: 2})
 	if err := h.jm.Cancel(b); err != nil {
@@ -166,7 +160,7 @@ func TestCancelQueuedJob(t *testing.T) {
 }
 
 func TestSubmitValidationErrors(t *testing.T) {
-	h := newHarness(t, 2, false)
+	h := newHarness(t, 2)
 	if _, err := h.jm.Submit(Spec{App: "", Nodes: 1}); err == nil {
 		t.Fatal("empty app accepted")
 	}
@@ -178,7 +172,7 @@ func TestSubmitValidationErrors(t *testing.T) {
 }
 
 func TestListOrdered(t *testing.T) {
-	h := newHarness(t, 8, false)
+	h := newHarness(t, 8)
 	for i := 0; i < 3; i++ {
 		if _, err := h.jm.Submit(Spec{App: "gemm", Nodes: 1}); err != nil {
 			t.Fatal(err)
@@ -199,7 +193,7 @@ func TestListOrdered(t *testing.T) {
 }
 
 func TestEventsVisibleOnLeafRanks(t *testing.T) {
-	h := newHarness(t, 7, false)
+	h := newHarness(t, 7)
 	var leafSawStart, leafSawFinish bool
 	h.inst.Broker(6).Subscribe("job.*", func(ev *msg.Message) {
 		switch ev.Topic {
@@ -218,30 +212,8 @@ func TestEventsVisibleOnLeafRanks(t *testing.T) {
 	}
 }
 
-func TestKVSMirror(t *testing.T) {
-	h := newHarness(t, 2, true)
-	id, _ := h.jm.Submit(Spec{App: "gemm", Nodes: 1, Name: "mirrored"})
-	kc := kvs.NewClient(h.inst.Root())
-	var rec Record
-	if err := kc.Get("job.1", &rec); err != nil {
-		t.Fatalf("job record not mirrored to KVS: %v", err)
-	}
-	if rec.Spec.Name != "mirrored" || rec.State != StateRun {
-		t.Fatalf("mirrored record: %+v", rec)
-	}
-	if _, err := h.jm.Finish(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := kc.Get("job.1", &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.State != StateInactive {
-		t.Fatalf("mirror not updated on finish: %+v", rec)
-	}
-}
-
 func TestSubmitFromLeafRank(t *testing.T) {
-	h := newHarness(t, 7, false)
+	h := newHarness(t, 7)
 	leaf := NewClient(h.inst.Broker(5))
 	id, err := leaf.Submit(Spec{App: "gemm", Nodes: 1})
 	if err != nil {

@@ -88,9 +88,6 @@ type Config struct {
 	// MinSoftNodeCapW is the smallest soft (not hardware-guaranteed) node
 	// cap (500 W on Lassen).
 	MinSoftNodeCapW float64
-	// MinHardNodeCapW is the smallest hardware-guaranteed node cap with
-	// GPU activity (1000 W on Lassen).
-	MinHardNodeCapW float64
 
 	// GPUMaxPowerW and GPUMinPowerW bound per-GPU power (300/100 W for
 	// Volta; 280/90 W per GCD for MI250X halves).
@@ -177,7 +174,6 @@ func LassenConfig() Config {
 		GPUCapSupported:    true,
 		MaxNodePowerW:      3050,
 		MinSoftNodeCapW:    500,
-		MinHardNodeCapW:    1000,
 		GPUMaxPowerW:       300,
 		GPUMinPowerW:       100,
 		SocketCapSupported: true,

@@ -38,6 +38,9 @@ type responseCache struct {
 	hits, misses uint64
 }
 
+// cacheSize is the gateway's LRU capacity in entries.
+const cacheSize = 1024
+
 type cacheEntry struct {
 	key     string
 	jobID   uint64 // 0 = not job-scoped
@@ -79,7 +82,7 @@ func (c *responseCache) get(key string) (cached, bool) {
 // the least recently used entry when full. A non-positive TTL disables
 // caching for the call.
 func (c *responseCache) put(key string, jobID uint64, val cached, ttl time.Duration) {
-	if ttl <= 0 || c.max <= 0 {
+	if ttl <= 0 {
 		return
 	}
 	c.mu.Lock()

@@ -66,9 +66,6 @@ type Config struct {
 	// CacheTTLDone is the lifetime for finished jobs, whose telemetry
 	// window is immutable. Default 5m.
 	CacheTTLDone time.Duration
-	// CacheSize is the LRU capacity in entries. Default 1024; negative
-	// disables caching.
-	CacheSize int
 
 	// RateLimit is the per-client sustained request rate in requests per
 	// second; 0 disables limiting. RateBurst is the bucket depth
@@ -101,9 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheTTLDone <= 0 {
 		c.CacheTTLDone = 5 * time.Minute
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 1024
 	}
 	if c.RateBurst <= 0 {
 		c.RateBurst = int(2 * c.RateLimit)
@@ -267,7 +261,7 @@ func New(cfg Config) (*Gateway, error) {
 		hub:      cfg.Hub,
 		ownHub:   ownHub,
 		brokerMu: cfg.Hub.UpstreamMu(),
-		cache:    newResponseCache(cfg.CacheSize, cfg.Now),
+		cache:    newResponseCache(cacheSize, cfg.Now),
 		flight:   newFlightGroup(),
 		limiters: newLimiterPool(cfg.RateLimit, cfg.RateBurst, cfg.Now),
 		latency:  stats.NewHistogram(0.01, 60_000, 64),

@@ -190,23 +190,21 @@ func (s *Store) readTier(t *tierState, start, end float64) []variorum.Bucket {
 	return out
 }
 
-// gcLocked deletes the oldest sealed blocks while the size or age bound
-// is exceeded — but only a block whose successor every configured tier
+// gcLocked deletes the oldest sealed blocks while the size bound is
+// exceeded — but only a block whose successor every configured tier
 // has fully persisted (successor's maxTs strictly below every tier's
 // mark). Deleted samples therefore always live inside persisted tier
 // buckets, which a recovering archive adopts wholesale before replaying
 // any raw sample, so no bucket is ever half-rebuilt; and the oldest
 // retained block can always serve as the priming block of the next
 // Open. The newest block is always retained.
-func (s *Store) gcLocked(nowSec float64) error {
+func (s *Store) gcLocked() error {
 	var err error
 	deleted := 0
 scan:
 	for len(s.blocks)-deleted > 1 {
 		cand, next := s.blocks[deleted], s.blocks[deleted+1]
-		over := s.cfg.RetainBytes >= 0 && s.blockBytes > s.cfg.RetainBytes
-		old := s.cfg.RetainSec > 0 && cand.maxTs < nowSec-s.cfg.RetainSec
-		if !over && !old {
+		if s.cfg.RetainBytes < 0 || s.blockBytes <= s.cfg.RetainBytes {
 			break
 		}
 		for _, t := range s.tiers {

@@ -15,7 +15,7 @@
 // the fold the in-memory archive runs; finalized buckets are persisted at the
 // next Maintain to append-only tier logs that are never
 // garbage-collected and are read back from disk, not mirrored in memory.
-// GC then deletes sealed-block prefixes under a size/age bound, but only
+// GC then deletes sealed-block prefixes under a size bound, but only
 // blocks every tier has fully persisted — deleted samples always live
 // inside persisted buckets, which recovery adopts wholesale, so no
 // bucket is ever double-counted or half-rebuilt.
@@ -61,9 +61,6 @@ type Config struct {
 	// RetainBytes bounds sealed-block bytes on disk (default 256 MiB;
 	// negative disables the size bound).
 	RetainBytes int64
-	// RetainSec bounds sealed-block age relative to the now passed to
-	// GC/Maintain, in sample-time seconds (0 disables the age bound).
-	RetainSec float64
 	// TierPeriodsSec are the compaction bucket periods (default 60 and
 	// 600, matching powermon.DefaultTiers; an explicit empty non-nil
 	// slice disables compaction — and with it, any GC alignment
@@ -560,9 +557,10 @@ func (s *Store) syncLocked() error {
 // Maintain is the owner's periodic housekeeping: sync the WAL, persist
 // the tier buckets that seals have finalized since the last pass, then
 // GC old blocks. Its cost follows what arrived since the last pass: with
-// no new seal it is the WAL fsync alone and reads no block file. nowSec
-// is the caller's notion of sample-time now, used only by the age bound.
-func (s *Store) Maintain(nowSec float64) error {
+// no new seal it is the WAL fsync alone and reads no block file. The
+// argument, the caller's sample-time now, is unused: retention is bounded
+// by size alone.
+func (s *Store) Maintain(_ float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -574,7 +572,7 @@ func (s *Store) Maintain(nowSec float64) error {
 	if err := s.flushTiersLocked(); err != nil {
 		return err
 	}
-	return s.gcLocked(nowSec)
+	return s.gcLocked()
 }
 
 // SelectRange returns every stored sample with timestamp in [min, max],
