@@ -107,20 +107,64 @@ type Broker struct {
 	childSets  map[int32]map[int32]bool
 	detached   map[int32]transport.Link
 
+	// childList holds the links of children sorted by rank, the order
+	// events flood in. The three sites that change children (AddChild,
+	// pruneChild, handleReattach) replace it with a fresh slice and never
+	// write it in place, so routeEvent can range over a copy of the
+	// header after dropping mu.
+	childList []childLink
+
 	// Event dedupe window: a reattached child can transiently receive
 	// the same sequenced event via its old and its new parent. Root
-	// assigns seqs so it never dedupes; everyone else remembers the last
-	// evDedupeWindow seqs seen.
-	evSeen  map[uint64]bool
-	evOrder []uint64
+	// assigns seqs so it never dedupes; everyone else keeps the highest
+	// seq seen and one bit for each of the evDedupeWindow seqs ending at
+	// it (72 bytes).
+	evWindow seqWindow
 
 	heal *healState // nil unless Options.Heal was set
 
 	stats Stats
 }
 
-// evDedupeWindow bounds the per-broker event dedupe memory.
+type childLink struct {
+	rank int32
+	l    transport.Link
+}
+
+// evDedupeWindow is how many seqs behind the high-water mark the event
+// dedupe window reaches; a multiple of 64.
 const evDedupeWindow = 512
+
+// seqWindow remembers which of the evDedupeWindow seqs ending at high
+// have arrived: seq s owns bit s%evDedupeWindow.
+type seqWindow struct {
+	high uint64
+	bits [evDedupeWindow / 64]uint64
+}
+
+// admit records seq and reports whether it is fresh. A seq
+// evDedupeWindow or more behind the high-water mark is fresh: its bit
+// already belongs to a newer seq, and bounded memory is the contract,
+// not perfect dedupe.
+func (w *seqWindow) admit(seq uint64) bool {
+	if seq < w.high && w.high-seq >= evDedupeWindow {
+		return true
+	}
+	if seq > w.high {
+		if seq-w.high >= evDedupeWindow {
+			w.bits = [evDedupeWindow / 64]uint64{}
+		} else {
+			for s := w.high + 1; s <= seq; s++ {
+				w.bits[s%evDedupeWindow/64] &^= 1 << (s % 64)
+			}
+		}
+		w.high = seq
+	}
+	word, bit := &w.bits[seq%evDedupeWindow/64], uint64(1)<<(seq%64)
+	fresh := *word&bit == 0
+	*word |= bit
+	return fresh
+}
 
 // maxHops bounds broker-to-broker forwards for a single message while
 // the tree is re-forming after a crash; only enforced when healing is
@@ -297,6 +341,18 @@ func (b *Broker) AddChild(childRank int32, l transport.Link) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.children[childRank] = l
+	b.rebuildChildListLocked()
+}
+
+// rebuildChildListLocked replaces childList with the current children
+// sorted by rank. Caller holds b.mu.
+func (b *Broker) rebuildChildListLocked() {
+	list := make([]childLink, 0, len(b.children))
+	for r, l := range b.children {
+		list = append(list, childLink{r, l})
+	}
+	sort.Slice(list, func(i, j int) bool { return list[i].rank < list[j].rank })
+	b.childList = list
 }
 
 // ParentRank returns the TBON parent of rank r for arity k (r=0 has none).
@@ -523,37 +579,21 @@ func (b *Broker) routeEvent(ev *msg.Message, fromBelow bool) error {
 	// A reattached broker can transiently receive the same flooded event
 	// twice — once relayed by its old parent before the prune, once by
 	// its new parent. Root assigns the seqs itself so only non-root
-	// brokers dedupe, on a sliding window of recently seen seqs.
+	// brokers dedupe, on a window of recently seen seqs.
 	if b.rank != 0 && ev.Seq != 0 {
 		b.mu.Lock()
-		if b.evSeen[ev.Seq] {
-			b.mu.Unlock()
+		fresh := b.evWindow.admit(ev.Seq)
+		b.mu.Unlock()
+		if !fresh {
 			return nil
 		}
-		if b.evSeen == nil {
-			b.evSeen = make(map[uint64]bool, evDedupeWindow)
-		}
-		b.evSeen[ev.Seq] = true
-		b.evOrder = append(b.evOrder, ev.Seq)
-		if len(b.evOrder) > evDedupeWindow {
-			delete(b.evSeen, b.evOrder[0])
-			b.evOrder = b.evOrder[1:]
-		}
-		b.mu.Unlock()
 	}
-	// Deliver locally, then flood downward. A failed child link must not
-	// starve its siblings: keep flooding, count each failure, and report
-	// them joined.
+	// Deliver locally, then flood downward in rank order. A failed child
+	// link must not starve its siblings: keep flooding, count each
+	// failure, and report them joined.
 	b.deliverEvent(ev)
-	type childLink struct {
-		rank int32
-		l    transport.Link
-	}
 	b.mu.Lock()
-	links := make([]childLink, 0, len(b.children))
-	for rank, l := range b.children {
-		links = append(links, childLink{rank, l})
-	}
+	links := b.childList
 	b.mu.Unlock()
 	var errs []error
 	for _, c := range links {
@@ -568,8 +608,9 @@ func (b *Broker) routeEvent(ev *msg.Message, fromBelow bool) error {
 }
 
 func (b *Broker) deliverEvent(ev *msg.Message) {
+	var buf [8]EventHandler // matching handlers; spills to the heap past 8
+	fns := buf[:0]
 	b.mu.Lock()
-	var fns []EventHandler
 	for _, s := range b.subs {
 		if s.fn != nil && msg.MatchGlob(s.pattern, ev.Topic) {
 			fns = append(fns, s.fn)

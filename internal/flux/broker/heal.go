@@ -523,6 +523,7 @@ func (b *Broker) pruneChild(r int32) []int32 {
 	}
 	b.materializeLocked()
 	delete(b.children, r)
+	b.rebuildChildListLocked()
 	b.detached[r] = l
 	set := b.childSets[r]
 	delete(b.childSets, r)
@@ -778,6 +779,7 @@ func (b *Broker) handleReattach(m *msg.Message) {
 	}
 	sort.Slice(removeUp, func(i, j int) bool { return removeUp[i] < removeUp[j] })
 	b.children[s] = link
+	b.rebuildChildListLocked()
 	b.childSets[s] = newSet
 	delete(b.detached, s)
 	b.mu.Unlock()

@@ -3,6 +3,7 @@ package broker
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"fluxpower/internal/flux/msg"
 	"fluxpower/internal/flux/transport"
@@ -178,11 +179,10 @@ func TestRouteEventDedupeWindowSlides(t *testing.T) {
 	if got != evDedupeWindow+10 {
 		t.Fatalf("delivered %d, want %d", got, evDedupeWindow+10)
 	}
-	b.mu.Lock()
-	seen, order := len(b.evSeen), len(b.evOrder)
-	b.mu.Unlock()
-	if seen != evDedupeWindow || order != evDedupeWindow {
-		t.Fatalf("dedupe window grew: seen=%d order=%d, want %d", seen, order, evDedupeWindow)
+	// The window is a fixed-size value, so it cannot grow: a high-water
+	// mark plus one bit per seq.
+	if size := unsafe.Sizeof(b.evWindow); size != 8+evDedupeWindow/8 {
+		t.Fatalf("dedupe window is %d bytes, want %d", size, 8+evDedupeWindow/8)
 	}
 	// An ancient seq that slid out of the window is treated as fresh —
 	// bounded memory is the contract, not perfect dedupe.

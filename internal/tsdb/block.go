@@ -71,6 +71,16 @@ func schemaOf(p variorum.NodePower) blockSchema {
 	}
 }
 
+// encodable reports whether the block format can hold this shape: at
+// most 255 entries per channel group and maxBlockString bytes per string.
+func (s blockSchema) encodable() error {
+	if s.nCPU > 255 || s.nMem > 255 || s.nGPUSock > 255 || s.nGPUDev > 255 ||
+		s.gpusPer > 255 || len(s.hostname) > maxBlockString || len(s.arch) > maxBlockString {
+		return fmt.Errorf("tsdb: sample shape too large for block schema")
+	}
+	return nil
+}
+
 // channels returns the number of scalar value streams (excluding the
 // timestamp stream).
 func (s blockSchema) channels() int {
@@ -84,9 +94,8 @@ func encodeBlock(samples []variorum.NodePower) ([]byte, error) {
 		return nil, fmt.Errorf("tsdb: empty block")
 	}
 	s := schemaOf(samples[0])
-	if s.nCPU > 255 || s.nMem > 255 || s.nGPUSock > 255 || s.nGPUDev > 255 ||
-		s.gpusPer > 255 || len(s.hostname) > maxBlockString || len(s.arch) > maxBlockString {
-		return nil, fmt.Errorf("tsdb: sample shape too large for block schema")
+	if err := s.encodable(); err != nil {
+		return nil, err
 	}
 	minTs, maxTs := samples[0].Timestamp, samples[0].Timestamp
 	for _, p := range samples[1:] {

@@ -431,11 +431,18 @@ func (s *Store) Append(p variorum.NodePower) error {
 	if s.closed {
 		return errClosed
 	}
-	if len(s.head) > 0 && schemaOf(p) != schemaOf(s.head[0]) {
+	if shape := schemaOf(p); len(s.head) == 0 || shape != schemaOf(s.head[0]) {
+		// A shape no block can hold would leave the head unsealable and
+		// fail every later Append: refuse this one sample instead.
+		if err := shape.encodable(); err != nil {
+			return err
+		}
 		// Shape change (reconfigured node): seal the current run early so
 		// every block stays single-schema.
-		if err := s.seal(); err != nil {
-			return err
+		if len(s.head) > 0 {
+			if err := s.seal(); err != nil {
+				return err
+			}
 		}
 	}
 	payload, err := json.Marshal(p)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fluxpower/internal/variorum"
@@ -328,6 +329,53 @@ func TestStoreSchemaChangeSealsEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameJSON(t, got, want)
+}
+
+// TestStoreRejectsUnencodableSample appends one sample whose shape no
+// block can hold between normal ones: Append must refuse that sample
+// alone, and the store must keep appending, sealing and recovering.
+func TestStoreRejectsUnencodableSample(t *testing.T) {
+	for name, oversize := range map[string]func(*variorum.NodePower){
+		"hostname": func(p *variorum.NodePower) { p.Hostname = strings.Repeat("h", 5000) },
+		"gpus":     func(p *variorum.NodePower) { p.GPUWatts = make([]float64, 256) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := testConfig()
+			cfg.BlockSamples = 2
+			s, err := Open(dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := appendN(t, s, 1, 0)
+			bad := mkSample(1)
+			oversize(&bad)
+			if err := s.Append(bad); err == nil {
+				t.Fatal("Append accepted a sample no block can encode")
+			}
+			want = append(want, appendN(t, s, 6, 2)...)
+			if h := s.Health(); h.SealedBlocks != 3 || h.HeadSamples != 1 {
+				t.Fatalf("after the rejected sample: %d blocks sealed, %d in head; want 3 and 1", h.SealedBlocks, h.HeadSamples)
+			}
+			got, err := s.All()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameJSON(t, got, want)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s, err = Open(dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if got, err = s.All(); err != nil {
+				t.Fatal(err)
+			}
+			sameJSON(t, got, want)
+		})
+	}
 }
 
 // expectedTiers independently folds samples into buckets with the
