@@ -402,12 +402,13 @@ func (fc *Cluster) SchedStatus() (SchedStatus, error) {
 }
 
 // ControllerStatus is the closed-loop budget controller's status:
-// observation rounds, retunes, per-job cap history and cap-violation
-// counters.
+// fleet totals of observation rounds, retunes and cap violations since
+// the manager loaded, plus cap history and counters for the live jobs.
 type ControllerStatus = powermgr.ControllerStatus
 
-// ControllerStatus reports the closed-loop controller's state. Without a
-// power manager loaded it returns the zero status.
+// ControllerStatus reports the closed-loop controller's state; its Jobs
+// list holds the live jobs only. Without a power manager loaded it
+// returns the zero status.
 func (fc *Cluster) ControllerStatus() (ControllerStatus, error) {
 	if fc.pm == nil {
 		return ControllerStatus{}, nil

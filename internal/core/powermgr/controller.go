@@ -78,24 +78,23 @@ type CapPoint struct {
 	PerNodeW float64 `json:"per_node_w"`
 }
 
-// jobCtl is the controller's per-job state. It outlives the allocation
-// so violation counters and cap history stay queryable after the job
-// finishes (the policy experiment reads them at the end of the run).
+// jobCtl is the controller's per-job state. It lives as long as the
+// job's allocation: what a finished job contributed stays in the fleet
+// totals (the policy experiment reads those at the end of the run).
 type jobCtl struct {
-	capHist      []CapPoint
-	violations   uint64
-	sustained    uint64
-	consecutive  int
-	integ        float64 // integral term, watt-seconds scaled by ctlKi
-	lastObsW     float64 // last observed per-node draw
-	lastTargetW  float64
-	retunes      uint64
-	reclaimedW   float64 // cumulative per-node watts taken
-	grantedW     float64 // cumulative per-node watts given
-	observations uint64
+	capHist     []CapPoint
+	violations  uint64
+	sustained   uint64
+	consecutive int
+	integ       float64 // integral term, watt-seconds scaled by ctlKi
+	lastObsW    float64 // last observed per-node draw
+	lastTargetW float64
+	retunes     uint64
 }
 
-// ControllerStatus is the controller section of power-manager.status.
+// ControllerStatus is the controller section of power-manager.status:
+// fleet totals since the manager loaded, plus per-job detail for the
+// live jobs.
 type ControllerStatus struct {
 	Mode            string  `json:"mode"`
 	Rounds          uint64  `json:"rounds"`
@@ -105,6 +104,7 @@ type ControllerStatus struct {
 	ReclaimedWTotal float64 `json:"reclaimed_w_total"`
 	GrantedWTotal   float64 `json:"granted_w_total"`
 
+	// Jobs holds the live jobs, in job-id order.
 	Jobs []JobControl `json:"jobs,omitempty"`
 }
 
@@ -277,7 +277,6 @@ func (m *Manager) controllerRound(obs map[uint64][]float64) {
 		mean /= float64(len(samples))
 
 		jc := m.jobCtlLocked(id)
-		jc.observations++
 		jc.lastObsW = mean
 
 		// Violation accounting (observe and retune modes alike).
@@ -432,14 +431,11 @@ func (m *Manager) controllerRound(obs map[uint64][]float64) {
 		if r.newCap == r.alloc.PerNodeW {
 			continue
 		}
-		jc := m.jobCtlLocked(r.alloc.JobID)
-		jc.retunes++
+		m.jobCtlLocked(r.alloc.JobID).retunes++
 		m.ctlRetunes++
 		if d := r.newCap - r.alloc.PerNodeW; d < 0 {
-			jc.reclaimedW += -d
 			m.ctlReclaimedW += -d * float64(len(r.alloc.Ranks))
 		} else {
-			jc.grantedW += d
 			m.ctlGrantedW += d * float64(len(r.alloc.Ranks))
 		}
 		r.alloc.PerNodeW = r.newCap

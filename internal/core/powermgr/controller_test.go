@@ -1,6 +1,8 @@
 package powermgr
 
 import (
+	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
@@ -214,3 +216,96 @@ func TestCapHistoryRecordsProportionalSplits(t *testing.T) {
 }
 
 func cloneHistory(h []CapPoint) []CapPoint { return append([]CapPoint(nil), h...) }
+
+func TestStatusListsLiveJobsOnly(t *testing.T) {
+	// A stream of short jobs: the controller table must follow the live
+	// allocations, so the status reply stays the same size however many
+	// jobs have finished. Laghos leaves slack under a 1000 W/node split
+	// and LAMMPS presses against it, so the loop retunes and cap
+	// histories grow.
+	c := ctlCluster(t, 4, 4000, ControllerRetune)
+	pm := NewClient(c.Inst.Root())
+	const jobs = 44
+	for i := 0; i < jobs/2; i++ {
+		if _, err := c.Submit(job.Spec{App: "laghos", Nodes: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Submit(job.Spec{App: "lammps", Nodes: 2, SizeFactor: 0.2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	finished := func() int {
+		recs, err := c.JM.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, r := range recs {
+			if r.State == job.StateInactive {
+				n++
+			}
+		}
+		return n
+	}
+	statusBytes := func() int {
+		resp, err := c.Inst.Root().Call(0, "power-manager.status", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(resp.Payload)
+	}
+	encodedLen := func(v any) int {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(b)
+	}
+
+	sizeAt2, entryW := -1, 0
+	for step := 0; ; step++ {
+		if step == 1000 {
+			t.Fatalf("only %d of %d jobs finished", finished(), jobs)
+		}
+		c.RunFor(2 * time.Second)
+		_, _, allocs, err := pm.Status()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := pm.Controller()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var live, tracked []uint64
+		for _, a := range allocs {
+			live = append(live, a.JobID)
+		}
+		for _, j := range st.Jobs {
+			tracked = append(tracked, j.JobID)
+		}
+		if !slices.Equal(live, tracked) {
+			t.Fatalf("step %d: controller lists jobs %v, live allocations are %v", step, tracked, live)
+		}
+		for i, j := range st.Jobs {
+			// One job's share of the reply: its allocation, its controller
+			// entry and the two separating commas.
+			entryW = max(entryW, encodedLen(allocs[i])+encodedLen(j)+2)
+		}
+		done := finished()
+		if done >= 2 && sizeAt2 < 0 {
+			sizeAt2 = statusBytes()
+		}
+		if done >= 40 {
+			if st.Retunes == 0 {
+				t.Fatal("controller never retuned: the stream did not exercise cap history")
+			}
+			got := statusBytes()
+			if got > sizeAt2+entryW {
+				t.Fatalf("status is %d bytes after %d finished jobs, was %d after 2 (one live job's entry is %d)",
+					got, done, sizeAt2, entryW)
+			}
+			t.Logf("status %d bytes after %d finished jobs, %d after 2", got, done, sizeAt2)
+			return
+		}
+	}
+}

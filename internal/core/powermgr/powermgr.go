@@ -36,6 +36,7 @@ import (
 	"fluxpower/internal/flux/job"
 	"fluxpower/internal/flux/msg"
 	"fluxpower/internal/hw"
+	"fluxpower/internal/ringbuf"
 	"fluxpower/internal/simtime"
 	"fluxpower/internal/variorum"
 )
@@ -140,21 +141,21 @@ type Manager struct {
 	// lesson (§V) is that silently dropped enforcement must be visible.
 	pushFailures uint64
 	pushErrs     map[int32]string
-	// Positive acknowledgements per rank, with timestamps (instance
-	// seconds, capped at maxAckTimes per rank). The chaos invariant
-	// checker uses these to prove no cap-limit push was acknowledged by
-	// a rank while it was crashed.
+	// Positive acknowledgements per rank, and the instance-second
+	// timestamps of each rank's newest maxAckTimes acks, served by
+	// power-manager.acks. The chaos invariant checker uses them to prove
+	// no cap-limit push was acknowledged by a rank while it was crashed.
 	pushAcks   map[int32]uint64
-	pushAckSec map[int32][]float64
+	pushAckSec map[int32]*ringbuf.Ring[float64]
 	// Limit re-pushes triggered by topology reattach events (rank 0
 	// only): enforcement state is job-level-manager-owned, so a moved or
 	// restarted node gets its current limit pushed again rather than
 	// running uncapped until the next allocation change.
 	limitRepushes uint64
 
-	// Closed-loop controller state (rank 0 only). jobCtls outlives the
-	// allocations so cap history and violation counters stay queryable
-	// after jobs finish.
+	// Closed-loop controller state (rank 0 only). jobCtls holds live jobs
+	// only: onJobFinish drops a job's entry with its allocation, and the
+	// fleet totals below keep what the finished job contributed.
 	ctl           ControllerConfig
 	jobCtls       map[uint64]*jobCtl
 	ctlRounds     uint64
@@ -165,7 +166,8 @@ type Manager struct {
 	ctlGrantedW   float64
 }
 
-// maxAckTimes bounds the per-rank acknowledgement timestamp history.
+// maxAckTimes bounds the per-rank acknowledgement timestamp history: the
+// newest maxAckTimes acks are kept.
 const maxAckTimes = 256
 
 // New creates a manager module instance.
@@ -177,7 +179,7 @@ func New(cfg Config) *Manager {
 		allocs:     make(map[uint64]*Allocation),
 		pushErrs:   make(map[int32]string),
 		pushAcks:   make(map[int32]uint64),
-		pushAckSec: make(map[int32][]float64),
+		pushAckSec: make(map[int32]*ringbuf.Ring[float64]),
 		jobCtls:    make(map[uint64]*jobCtl),
 	}
 }
@@ -213,6 +215,9 @@ func (m *Manager) Init(ctx *broker.Context) error {
 
 	if ctx.Rank() == 0 {
 		if err := ctx.RegisterService("power-manager.status", m.handleStatus); err != nil {
+			return err
+		}
+		if err := ctx.RegisterService("power-manager.acks", m.handleAcks); err != nil {
 			return err
 		}
 		if err := ctx.RegisterService("power-manager.setglobal", m.handleSetGlobal); err != nil {
@@ -335,6 +340,7 @@ func (m *Manager) onJobFinish(ev *msg.Message) {
 		return
 	}
 	delete(m.allocs, rec.ID)
+	delete(m.jobCtls, rec.ID)
 	released := a.Ranks
 	maxPerNode := m.maxNodePower()
 	totalNodes := 0
@@ -405,7 +411,6 @@ func (m *Manager) resolveJobPolicy(requested string) Policy {
 }
 
 type nodeLimitRequest struct {
-	Op     string  `json:"op"`
 	JobID  uint64  `json:"jobid"`
 	LimitW float64 `json:"limit_w"`
 	Policy Policy  `json:"policy"`
@@ -419,7 +424,7 @@ type nodeLimitRequest struct {
 // Tioga.
 func (m *Manager) sendNodeLimit(rank int32, jobID uint64, limitW float64, policy Policy) *broker.Future {
 	f := m.ctx.RPCWithTimeout(rank, "power-manager.node.setlimit", nodeLimitRequest{
-		Op: "setlimit", JobID: jobID, LimitW: limitW, Policy: policy,
+		JobID: jobID, LimitW: limitW, Policy: policy,
 	}, m.cfg.PushTimeout)
 	f.Then(func(resp *msg.Message) {
 		m.mu.Lock()
@@ -430,9 +435,12 @@ func (m *Manager) sendNodeLimit(rank int32, jobID uint64, limitW float64, policy
 		} else {
 			delete(m.pushErrs, rank)
 			m.pushAcks[rank]++
-			if times := m.pushAckSec[rank]; len(times) < maxAckTimes {
-				m.pushAckSec[rank] = append(times, m.ctx.Clock().Now().Seconds())
+			times, ok := m.pushAckSec[rank]
+			if !ok {
+				times = ringbuf.New[float64](maxAckTimes)
+				m.pushAckSec[rank] = times
 			}
+			times.Push(m.ctx.Clock().Now().Seconds())
 		}
 	})
 	return f
@@ -527,7 +535,9 @@ func (m *Manager) handleSetGlobal(req *broker.Request) {
 	_ = req.Respond(map[string]float64{"watts": body.Watts})
 }
 
-// handleStatus reports current allocations.
+// handleStatus reports the live allocations, the push diagnostics and
+// the controller's fleet totals plus its live jobs' detail: O(live
+// state), however many jobs have finished.
 func (m *Manager) handleStatus(req *broker.Request) {
 	m.mu.Lock()
 	out := make([]Allocation, 0, len(m.allocs))
@@ -545,10 +555,6 @@ func (m *Manager) handleStatus(req *broker.Request) {
 	for rank, n := range m.pushAcks {
 		pushAcks[rank] = n
 	}
-	pushAckSec := make(map[int32][]float64, len(m.pushAckSec))
-	for rank, times := range m.pushAckSec {
-		pushAckSec[rank] = append([]float64(nil), times...)
-	}
 	controller := m.controllerStatusLocked()
 	m.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
@@ -558,7 +564,6 @@ func (m *Manager) handleStatus(req *broker.Request) {
 		GlobalCapW:    global,
 		LimitRepushes: repushes,
 		Policy:        m.cfg.Policy,
-		PushAckSec:    pushAckSec,
 		PushAcks:      pushAcks,
 		PushErrors:    pushErrs,
 		PushFailures:  pushFailures,
@@ -568,15 +573,36 @@ func (m *Manager) handleStatus(req *broker.Request) {
 // statusReply is the power-manager.status payload. Fields stay in
 // alphabetical JSON-key order: TestReplyBytes pins the encoded bytes.
 type statusReply struct {
-	Allocations   []Allocation        `json:"allocations"`
-	Controller    ControllerStatus    `json:"controller"`
-	GlobalCapW    float64             `json:"global_cap_w"`
-	LimitRepushes uint64              `json:"limit_repushes"`
-	Policy        Policy              `json:"policy"`
-	PushAckSec    map[int32][]float64 `json:"push_ack_sec"`
-	PushAcks      map[int32]uint64    `json:"push_acks"`
-	PushErrors    map[int32]string    `json:"push_errors"`
-	PushFailures  uint64              `json:"push_failures"`
+	Allocations   []Allocation     `json:"allocations"`
+	Controller    ControllerStatus `json:"controller"`
+	GlobalCapW    float64          `json:"global_cap_w"`
+	LimitRepushes uint64           `json:"limit_repushes"`
+	Policy        Policy           `json:"policy"`
+	PushAcks      map[int32]uint64 `json:"push_acks"`
+	PushErrors    map[int32]string `json:"push_errors"`
+	PushFailures  uint64           `json:"push_failures"`
+}
+
+// handleAcks serves each rank's newest acknowledgement timestamps,
+// oldest first: the ack log the chaos checker audits against crash
+// windows, kept out of power-manager.status so that reply stays small.
+func (m *Manager) handleAcks(req *broker.Request) {
+	m.mu.Lock()
+	out := make(map[int32][]float64, len(m.pushAckSec))
+	for rank, times := range m.pushAckSec {
+		secs := make([]float64, times.Len())
+		for i := range secs {
+			secs[i] = times.At(i)
+		}
+		out[rank] = secs
+	}
+	m.mu.Unlock()
+	_ = req.Respond(acksReply{PushAckSec: out})
+}
+
+// acksReply is the power-manager.acks payload.
+type acksReply struct {
+	PushAckSec map[int32][]float64 `json:"push_ack_sec"`
 }
 
 // ---- Node-level manager (every rank) ----
@@ -877,8 +903,9 @@ func (c *Client) Status() (policy Policy, globalW float64, allocs []Allocation, 
 	return body.Policy, body.GlobalCapW, body.Allocations, nil
 }
 
-// Controller returns the closed-loop controller's status: rounds,
-// retunes, per-job cap history, and cap-violation counters.
+// Controller returns the closed-loop controller's status: fleet totals
+// of rounds, retunes and cap violations, and the live jobs' cap history
+// and counters.
 func (c *Client) Controller() (ControllerStatus, error) {
 	resp, err := c.b.Call(msg.NodeAny, "power-manager.status", nil)
 	if err != nil {

@@ -503,11 +503,19 @@ func TestReplyBytes(t *testing.T) {
 	want := `{"allocations":[{"jobid":1,"ranks":[0,1],"per_node_w":1200,"job_limit_w":2400,"policy":"proportional"}],` +
 		`"controller":{"mode":"","rounds":0,"retunes":0,"violations":0,"sustained_violations":0,"reclaimed_w_total":0,"granted_w_total":0,` +
 		`"jobs":[{"jobid":1,"violations":0,"sustained_violations":0,"retunes":0,"last_obs_w":0,"cap_history":[{"sec":0,"per_node_w":1200}]}]},` +
-		`"global_cap_w":2400,"limit_repushes":0,"policy":"proportional","push_ack_sec":{"0":[0]},"push_acks":{"0":1},` +
+		`"global_cap_w":2400,"limit_repushes":0,"policy":"proportional","push_acks":{"0":1},` +
 		`"push_errors":{"1":"msg: \"power-manager.node.setlimit\" failed: errno 38: rank 1 has no service for \"power-manager.node.setlimit\""},` +
 		`"push_failures":1}`
 	if got := string(resp.Payload); got != want {
 		t.Fatalf("status payload\n got %s\nwant %s", got, want)
+	}
+
+	resp, err = c.Inst.Root().Call(0, "power-manager.acks", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(resp.Payload), `{"push_ack_sec":{"0":[0]}}`; got != want {
+		t.Fatalf("acks payload %s, want %s", got, want)
 	}
 
 	resp, err = c.Inst.Root().Call(0, "power-manager.node.setlimit", map[string]any{"limit_w": 1234.5})
@@ -516,5 +524,58 @@ func TestReplyBytes(t *testing.T) {
 	}
 	if got, want := string(resp.Payload), `{"limit_w":1234.5,"rank":0}`; got != want {
 		t.Fatalf("setlimit ack %s, want %s", got, want)
+	}
+}
+
+func TestAckLogKeepsNewest(t *testing.T) {
+	// The dead-rank-ack audit needs the acks of a soak's last periods, so
+	// a rank's log keeps its newest maxAckTimes acks, not its first.
+	node, err := hw.NewNode("acks", hw.LassenConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := simtime.NewScheduler()
+	inst, err := broker.NewInstance(broker.InstanceOptions{
+		Size:      1,
+		Scheduler: sched,
+		Local:     func(int32) any { return node },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(Config{Policy: PolicyProportional})
+	if err := inst.Root().LoadModule(m); err != nil {
+		t.Fatal(err)
+	}
+	const pushes = 300
+	var lastAckSec float64
+	for i := 0; i < pushes; i++ {
+		sched.Advance(time.Second)
+		lastAckSec = sched.Now().Seconds()
+		m.sendNodeLimit(0, 1, 1349, PolicyProportional)
+	}
+	sched.Advance(time.Second)
+
+	resp, err := inst.Root().Call(0, "power-manager.acks", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		PushAckSec map[int32][]float64 `json:"push_ack_sec"`
+	}
+	if err := resp.Unmarshal(&body); err != nil {
+		t.Fatal(err)
+	}
+	times := body.PushAckSec[0]
+	if len(times) != maxAckTimes {
+		t.Fatalf("ack log holds %d entries after %d acks, want %d", len(times), pushes, maxAckTimes)
+	}
+	if newest := times[len(times)-1]; newest != lastAckSec {
+		t.Fatalf("newest logged ack at %v s, want the %dth ack at %v s", newest, pushes, lastAckSec)
+	}
+	for i := 1; i < len(times); i++ {
+		if times[i] <= times[i-1] {
+			t.Fatalf("ack log not oldest-first at %d: %v", i, times[i-1:i+1])
+		}
 	}
 }

@@ -315,3 +315,52 @@ func TestCheckerCatchesDeliberateMatchtagLeak(t *testing.T) {
 		t.Fatalf("leak not localized to the leaking rank: %v", vs)
 	}
 }
+
+// TestCheckerCatchesDeadRankAck is the canary for the dead-rank-ack
+// invariant: a stub power-manager.acks on rank 0 reports a cap-limit ack
+// from rank 1 inside its planned crash window, and the checker must
+// fire. Acks that fall only in the AckMarginSec band at the window's
+// edges absorb delivery latency and must not.
+func TestCheckerCatchesDeadRankAck(t *testing.T) {
+	crash := chaos.Window{StartSec: 10, EndSec: 20}
+	for _, tc := range []struct {
+		name string
+		acks []float64
+		want int // dead-rank-ack violations
+	}{
+		{"inside-window", []float64{2, 15, 25}, 1},
+		{"edge-margin-only", []float64{crash.StartSec + 0.03, crash.EndSec - 0.03}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newSimRig(t, 4, chaos.Plan{Seed: 9, Nodes: []chaos.NodeRule{
+				{Rank: 1, Kind: chaos.FaultCrash, Window: crash},
+			}})
+			if err := r.inst.Root().LoadModule(broker.ModuleFuncs{
+				NameFn: "power-manager",
+				InitFn: func(ctx *broker.Context) error {
+					return ctx.RegisterService("power-manager.acks", func(req *broker.Request) {
+						_ = req.Respond(map[string]map[int32][]float64{"push_ack_sec": {1: tc.acks}})
+					})
+				},
+			}); err != nil {
+				t.Fatalf("load stub manager: %v", err)
+			}
+			vs := chaos.Check(chaos.CheckConfig{Brokers: r.inst.Brokers, Injector: r.inj, Manager: true})
+			if hasViolation(vs, "probe-failed") {
+				t.Fatalf("checker could not read the ack log: %v", vs)
+			}
+			got := 0
+			for _, v := range vs {
+				if v.Invariant == "dead-rank-ack" {
+					got++
+					if v.Rank != 1 {
+						t.Fatalf("dead-rank-ack not localized to rank 1: %v", v)
+					}
+				}
+			}
+			if got != tc.want {
+				t.Fatalf("%d dead-rank-ack violations, want %d: %v", got, tc.want, vs)
+			}
+		})
+	}
+}

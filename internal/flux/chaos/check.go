@@ -89,8 +89,9 @@ type CheckConfig struct {
 	// the power-monitor module loaded instance-wide.
 	Monitor bool
 	// Manager enables the powermgr check (no cap-limit push acknowledged
-	// by a crashed rank). Requires power-manager loaded on rank 0 and an
-	// Injector for the crash windows.
+	// by a crashed rank, read from power-manager.acks). Requires
+	// power-manager loaded on rank 0 and an Injector for the crash
+	// windows.
 	Manager bool
 	// Store enables the durable-store accounting check: every rank's
 	// tsdb health must balance (durable ≤ appended, unsynced is exactly
@@ -404,19 +405,21 @@ func checkMonitor(cfg CheckConfig, root *broker.Broker, nowSec float64) []Violat
 }
 
 // checkManagerAcks asserts that no cap-limit push was acknowledged by a
-// rank while the plan had it crashed.
+// rank while the plan had it crashed. It audits the ack log that
+// power-manager.acks serves, each rank's newest acks: Check runs after
+// Disarm and a quiesce, so those cover the soak's crash windows.
 func checkManagerAcks(cfg CheckConfig, root *broker.Broker, nowSec float64) []Violation {
 	var vs []Violation
-	resp, err := root.CallTimeout(msg.NodeAny, "power-manager.status", nil, cfg.RPCTimeout)
+	resp, err := root.CallTimeout(msg.NodeAny, "power-manager.acks", nil, cfg.RPCTimeout)
 	if err != nil {
-		vs = append(vs, Violation{"probe-failed", -1, fmt.Sprintf("power-manager.status: %v", err)})
+		vs = append(vs, Violation{"probe-failed", -1, fmt.Sprintf("power-manager.acks: %v", err)})
 		return vs
 	}
 	var body struct {
 		PushAckSec map[int32][]float64 `json:"push_ack_sec"`
 	}
 	if err := resp.Unmarshal(&body); err != nil {
-		vs = append(vs, Violation{"probe-failed", -1, fmt.Sprintf("manager status decode: %v", err)})
+		vs = append(vs, Violation{"probe-failed", -1, fmt.Sprintf("manager acks decode: %v", err)})
 		return vs
 	}
 	disarmSec := cfg.Injector.DisarmedAt()
