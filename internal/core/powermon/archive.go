@@ -45,6 +45,9 @@ type tier struct {
 	// oldest survivor — keeps coverage exact when the ring is seeded
 	// from recovery or holds a sparse history.
 	lostEndSec float64
+	// open is scan's copy of the still-accumulating bucket: visiting it
+	// through a field, not a local, keeps the scan allocation-free.
+	open variorum.Bucket
 }
 
 // archive is the node agent's storage: the raw full-rate ring plus the
@@ -113,23 +116,38 @@ func (t *tier) push(p variorum.NodePower) {
 	}
 }
 
-// buckets returns the tier's finalized buckets intersecting [start, end],
-// plus the still-accumulating bucket if it intersects too.
-func (t *tier) buckets(start, end float64) []variorum.Bucket {
-	out := t.ring.SelectRange(start-t.fold.PeriodSec, end,
-		func(b variorum.Bucket) float64 { return b.StartSec })
-	// SelectRange keyed on StartSec over-selects by up to one period at
-	// the left edge; drop buckets that end before the window starts.
-	keep := out[:0]
-	for _, b := range out {
+// bucketStart and sampleTs are the rings' window keys.
+func bucketStart(b variorum.Bucket) float64 { return b.StartSec }
+func sampleTs(p variorum.NodePower) float64 { return p.Timestamp }
+
+// scan visits the tier's finalized buckets intersecting [start, end],
+// oldest first, then the still-accumulating bucket if it intersects too.
+// Every bucket is handed over in place — the open one as the tier's own
+// copy of it — so fn must not keep the pointer.
+func (t *tier) scan(start, end float64, fn func(*variorum.Bucket)) {
+	// Keyed on StartSec the ring over-selects by up to one period at the
+	// left edge; skip buckets that end before the window starts.
+	t.ring.ScanRange(start-t.fold.PeriodSec, end, bucketStart, func(b *variorum.Bucket) {
 		if b.EndSec > start {
-			keep = append(keep, b)
+			fn(b)
 		}
-	}
-	out = keep
+	})
 	if cur, ok := t.fold.Current(); ok && cur.StartSec <= end && cur.EndSec > start {
-		out = append(out, cur)
+		t.open = cur
+		fn(&t.open)
 	}
+}
+
+// buckets returns a copy of what scan visits, in one allocation.
+func (t *tier) buckets(start, end float64) []variorum.Bucket {
+	lo, hi := t.ring.IndexRange(start-t.fold.PeriodSec, end, bucketStart)
+	var out []variorum.Bucket
+	t.scan(start, end, func(b *variorum.Bucket) {
+		if out == nil {
+			out = make([]variorum.Bucket, 0, hi-lo+1) // +1: the open bucket
+		}
+		out = append(out, *b)
+	})
 	return out
 }
 
@@ -223,25 +241,25 @@ func (a *archive) aggregate(start, end float64) windowAgg {
 
 func (a *archive) aggregateRaw(start, end float64) windowAgg {
 	out := windowAgg{Complete: a.rawCovers(start)}
-	samples := a.raw.SelectRange(start, end, func(p variorum.NodePower) float64 { return p.Timestamp })
+	first := true
 	var lastTS, lastW float64
-	for i, p := range samples {
+	a.raw.ScanRange(start, end, sampleTs, func(p *variorum.NodePower) {
 		w := p.TotalWatts()
-		if i > 0 && p.Timestamp > lastTS {
+		if !first && p.Timestamp > lastTS {
 			out.EnergyJ += (p.Timestamp - lastTS) * (w + lastW) / 2
 		}
-		out.Power.Add(p)
-		lastTS, lastW = p.Timestamp, w
-	}
+		out.Power.Add(*p)
+		first, lastTS, lastW = false, p.Timestamp, w
+	})
 	return out
 }
 
 func (t *tier) aggregate(start, end float64) windowAgg {
 	out := windowAgg{TierSec: t.fold.PeriodSec, Complete: t.covers(start)}
-	for _, b := range t.buckets(start, end) {
+	t.scan(start, end, func(b *variorum.Bucket) {
 		out.Power.Merge(b.Power)
 		out.EnergyJ += b.EnergyJ
-	}
+	})
 	return out
 }
 

@@ -1,12 +1,13 @@
 package powermon
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"fluxpower/internal/flux/broker"
 	"fluxpower/internal/flux/msg"
@@ -127,45 +128,62 @@ var CSVHeader = []string{
 // per (node, sample), with a completeness column saying whether that
 // node's buffer still held the job's full window. Sensors the platform
 // lacks render as -1 (the Variorum convention).
+//
+// The cells fixed per node — job id, app, rank, hostname, complete — are
+// rendered once through encoding/csv, which quotes the two free-text
+// ones as needed; each sample then appends its numbers to one reused
+// line buffer. Numbers never need quoting, so the bytes are exactly
+// those of a csv.Writer fed every cell.
 func WriteCSV(w io.Writer, jp JobPower) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(CSVHeader); err != nil {
+	bw := bufio.NewWriter(w)
+	var cells bytes.Buffer
+	cw := csv.NewWriter(&cells)
+	record := func(fields ...string) ([]byte, error) {
+		cells.Reset()
+		if err := cw.Write(fields); err != nil {
+			return nil, err
+		}
+		cw.Flush()
+		return cells.Bytes(), cw.Error()
+	}
+	header, err := record(CSVHeader...)
+	if err != nil {
 		return err
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
-	// Appending with += rebuilt the list string once per GPU — O(n²)
-	// copying per row, which hurts on wide-GPU nodes. The Builder grows
-	// amortized, so the row costs O(total digits).
-	var gpuList strings.Builder
+	if _, err := bw.Write(header); err != nil {
+		return err
+	}
+	jobID := strconv.FormatUint(jp.JobID, 10)
+	var line []byte
 	for _, node := range jp.Nodes {
+		// A record ending in an empty cell renders as "jobid,app,rank,
+		// hostname,\n": the row prefix plus a newline to drop.
+		prefix, err := record(jobID, jp.App, strconv.FormatInt(int64(node.Rank), 10), node.Hostname, "")
+		if err != nil {
+			return err
+		}
+		prefix = prefix[:len(prefix)-1]
 		for _, s := range node.Samples {
-			gpuList.Reset()
+			line = append(line[:0], prefix...)
+			for _, v := range [...]float64{s.Timestamp, s.NodeWatts, s.CPUWatts(), s.MemWatts(), s.TotalGPUWatts()} {
+				line = strconv.AppendFloat(line, v, 'f', 3, 64)
+				line = append(line, ',')
+			}
 			for i, g := range s.GPUWatts {
 				if i > 0 {
-					gpuList.WriteByte(';')
+					line = append(line, ';')
 				}
-				gpuList.WriteString(strconv.FormatFloat(g, 'f', 1, 64))
+				line = strconv.AppendFloat(line, g, 'f', 1, 64)
 			}
-			row := []string{
-				strconv.FormatUint(jp.JobID, 10),
-				jp.App,
-				strconv.FormatInt(int64(node.Rank), 10),
-				node.Hostname,
-				f(s.Timestamp),
-				f(s.NodeWatts),
-				f(s.CPUWatts()),
-				f(s.MemWatts()),
-				f(s.TotalGPUWatts()),
-				gpuList.String(),
-				strconv.FormatBool(node.Complete),
-			}
-			if err := cw.Write(row); err != nil {
+			line = append(line, ',')
+			line = strconv.AppendBool(line, node.Complete)
+			line = append(line, '\n')
+			if _, err := bw.Write(line); err != nil {
 				return err
 			}
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return bw.Flush()
 }
 
 // Summary condenses a JobPower into the per-job figures the paper's

@@ -3,8 +3,11 @@ package powermon
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"errors"
 	"io"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -216,6 +219,97 @@ func TestWriteCSVWideGPUList(t *testing.T) {
 	for _, line := range lines[1:] {
 		if !strings.Contains(line, "100.0;101.0;102.0;103.0;104.0;105.0;106.0;107.0") {
 			t.Fatalf("gpu list mangled: %q", line)
+		}
+	}
+}
+
+// writeCSVPerCell is the renderer WriteCSV replaced — every cell a
+// string, every row a csv.Writer record — kept as its byte-level oracle.
+func writeCSVPerCell(w io.Writer, jp JobPower) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(CSVHeader); err != nil {
+		return err
+	}
+	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
+	var gpuList strings.Builder
+	for _, node := range jp.Nodes {
+		for _, s := range node.Samples {
+			gpuList.Reset()
+			for i, g := range s.GPUWatts {
+				if i > 0 {
+					gpuList.WriteByte(';')
+				}
+				gpuList.WriteString(strconv.FormatFloat(g, 'f', 1, 64))
+			}
+			row := []string{
+				strconv.FormatUint(jp.JobID, 10),
+				jp.App,
+				strconv.FormatInt(int64(node.Rank), 10),
+				node.Hostname,
+				f(s.Timestamp),
+				f(s.NodeWatts),
+				f(s.CPUWatts()),
+				f(s.MemWatts()),
+				f(s.TotalGPUWatts()),
+				gpuList.String(),
+				strconv.FormatBool(node.Complete),
+			}
+			if err := cw.Write(row); err != nil {
+				return err
+			}
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// TestWriteCSVMatchesPerCellRenderer: the hoisted, append-based renderer
+// is byte-identical to the per-cell csv.Writer one, including free-text
+// cells that need quoting and numbers at the format's edges.
+func TestWriteCSVMatchesPerCellRenderer(t *testing.T) {
+	texts := []string{
+		"", "laghos", "n0", "a,b", `say "hi"`, " leading", "\tleading tab",
+		"cr\rlf\n", "line\nbreak", `\.`, "\u00a0nbsp", "ünïcode", "trailing ",
+	}
+	samples := []variorum.NodePower{
+		{Timestamp: 2, NodeWatts: 400, SocketCPUWatts: []float64{100, 100}, SocketMemWatts: []float64{40}, GPUWatts: []float64{50, 50}},
+		{Timestamp: 4.0005, NodeWatts: variorum.Unsupported, SocketCPUWatts: []float64{1e-9}, GPUWatts: []float64{-0.05, 1e21}},
+		{Timestamp: 1e15, NodeWatts: math.Inf(1), SocketCPUWatts: []float64{math.NaN()}, SocketMemWatts: []float64{}},
+		{Timestamp: 0, NodeWatts: -0.0},
+	}
+	for i, app := range texts {
+		jp := JobPower{JobID: uint64(i) * 1e17, App: app}
+		for r, host := range texts {
+			jp.Nodes = append(jp.Nodes, NodeSamples{
+				Rank: int32(r - 1), Hostname: host, Complete: r%2 == 0, Samples: samples[:r%(len(samples)+1)],
+			})
+		}
+		var got, want bytes.Buffer
+		if err := WriteCSV(&got, jp); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeCSVPerCell(&want, jp); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("app %q: CSV differs from the per-cell renderer:\ngot:\n%s\nwant:\n%s", app, got.Bytes(), want.Bytes())
+		}
+	}
+}
+
+// BenchmarkWriteCSVJob renders a paper-shaped job (4 GPUs, 16 nodes of
+// 300 samples): the per-row cost WriteCSV's hoisting targets.
+func BenchmarkWriteCSVJob(b *testing.B) {
+	jp := wideGPUJobPower(4, 300)
+	for r := 1; r < 16; r++ {
+		n := jp.Nodes[0]
+		n.Rank, n.Hostname = int32(r), "n"+strconv.Itoa(r)
+		jp.Nodes = append(jp.Nodes, n)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := WriteCSV(io.Discard, jp); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -450,8 +450,7 @@ func (m *Module) handleCollect(req *broker.Request) {
 	if covers || m.store == nil {
 		// Sample times are monotonic, so the window is a binary search plus
 		// a copy of the matching run — not a scan of the whole 100k ring.
-		out.Samples = m.arch.raw.SelectRange(body.StartSec, end,
-			func(p variorum.NodePower) float64 { return p.Timestamp })
+		out.Samples = m.arch.raw.SelectRange(body.StartSec, end, sampleTs)
 		// Completeness (§III-A): if the ring has wrapped and its oldest
 		// surviving sample post-dates the window start, part of the job's
 		// data has been flushed out.
@@ -470,8 +469,7 @@ func (m *Module) handleCollect(req *broker.Request) {
 		// Store unusable (simulated crash): fall back to the ring and be
 		// honest about the missing past.
 		m.mu.Lock()
-		out.Samples = m.arch.raw.SelectRange(body.StartSec, end,
-			func(p variorum.NodePower) float64 { return p.Timestamp })
+		out.Samples = m.arch.raw.SelectRange(body.StartSec, end, sampleTs)
 		m.mu.Unlock()
 		out.Complete = false
 		_ = req.Respond(out)

@@ -13,8 +13,13 @@ import (
 // through query.Source so the planner can pick the cheapest resolution
 // covering a window. The interface lives in internal/query (powermon
 // imports query, not the reverse) to keep the dependency acyclic.
+// The module also implements query.Scanner, so the engine folds raw and
+// in-memory tier windows where they lie instead of copying them out.
 
-var _ query.Source = (*Module)(nil)
+var (
+	_ query.Source  = (*Module)(nil)
+	_ query.Scanner = (*Module)(nil)
+)
 
 // QueryMeta implements query.Source: a snapshot of what resolutions
 // exist on this node and how far back each still reaches, in planner
@@ -60,7 +65,31 @@ func (m *Module) QueryMeta() query.SourceMeta {
 func (m *Module) QueryRaw(start, end float64) []variorum.NodePower {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.arch.raw.SelectRange(start, end, func(p variorum.NodePower) float64 { return p.Timestamp })
+	return m.arch.raw.SelectRange(start, end, sampleTs)
+}
+
+// ScanRaw implements query.Scanner: fn visits the ring samples QueryRaw
+// would return, in place and in the same order, under the module lock.
+func (m *Module) ScanRaw(start, end float64, fn func(*variorum.NodePower)) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.arch.raw.ScanRange(start, end, sampleTs, fn)
+}
+
+// ScanTier implements query.Scanner: fn visits the in-memory tier's
+// buckets QueryTier would return, in place and in the same order, under
+// the module lock. It reports false, visiting nothing, when no
+// in-memory tier has the period.
+func (m *Module) ScanTier(periodSec, start, end float64, fn func(*query.Bucket)) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, t := range m.arch.tiers {
+		if t.fold.PeriodSec == periodSec {
+			t.scan(start, end, fn)
+			return true
+		}
+	}
+	return false
 }
 
 // QueryStoreRaw implements query.Source: durable raw samples in

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fluxpower/internal/flux/broker"
+	"fluxpower/internal/flux/job"
 	"fluxpower/internal/flux/msg"
 	"fluxpower/internal/flux/reduce"
 )
@@ -140,11 +141,7 @@ func (m *Module) localPartial(body json.RawMessage) (Partial, error) {
 	if skip {
 		return Partial{Complete: true}, nil
 	}
-	data, err := readLocal(m.src, spec.StartSec, spec.EndSec)
-	if err != nil {
-		return Partial{}, err
-	}
-	return FoldLocal(e, spec, m.ctx.Rank(), data), nil
+	return foldSource(m.src, e, spec, m.ctx.Rank())
 }
 
 // handleFetch ships this rank's plan-selected records — what the
@@ -232,11 +229,11 @@ func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // State distinguishes a job that started at simulation time zero from
 // one that never started (both report StartSec 0).
 type jobRecord struct {
-	ID       uint64  `json:"id"`
-	State    string  `json:"state"`
-	Ranks    []int32 `json:"ranks"`
-	StartSec float64 `json:"start_sec"`
-	EndSec   float64 `json:"end_sec"`
+	ID       uint64    `json:"id"`
+	State    job.State `json:"state"`
+	Ranks    []int32   `json:"ranks"`
+	StartSec float64   `json:"start_sec"`
+	EndSec   float64   `json:"end_sec"`
 }
 
 // resolvePlan turns a request into the absolute plan: window resolution
@@ -277,26 +274,33 @@ func (m *Module) resolvePlan(body EvalRequest) (*Expr, PlanSpec, error) {
 		if err := resp.Unmarshal(&list); err != nil {
 			return nil, PlanSpec{}, &planError{code: msg.EPROTO, msg: fmt.Sprintf("query: job list: %v", err)}
 		}
-		for _, rec := range list.Jobs {
-			if rec.State == "SCHED" || len(rec.Ranks) == 0 {
-				continue // never started: nothing to attribute
-			}
-			ws, we := rec.StartSec, rec.EndSec
-			if we <= ws {
-				we = end // still running
-			}
-			if ws < start {
-				ws = start
-			}
-			if we > end {
-				we = end
-			}
-			if ws >= we {
-				continue
-			}
-			spec.Jobs = append(spec.Jobs, JobWindow{ID: rec.ID, Ranks: rec.Ranks, StartSec: ws, EndSec: we})
-		}
-		sort.Slice(spec.Jobs, func(i, j int) bool { return spec.Jobs[i].ID < spec.Jobs[j].ID })
+		spec.Jobs = jobWindows(list.Jobs, start, end)
 	}
 	return e, spec, nil
+}
+
+// jobWindows clips each started job's run to the window [start, end]:
+// a running job is charged up to end, a finished one up to its EndSec.
+// Jobs that never started, hold no ranks, or fall outside the window get
+// no window. Only the RUN state is open-ended — an INACTIVE job whose
+// end equals its start ran for no time and must not be charged with the
+// rest of the window. Windows come back sorted by job id.
+func jobWindows(recs []jobRecord, start, end float64) []JobWindow {
+	var out []JobWindow
+	for _, rec := range recs {
+		if rec.State == job.StateSched || len(rec.Ranks) == 0 {
+			continue // never started: nothing to attribute
+		}
+		ws, we := rec.StartSec, rec.EndSec
+		if rec.State == job.StateRun {
+			we = end
+		}
+		ws, we = max(ws, start), min(we, end)
+		if ws >= we {
+			continue
+		}
+		out = append(out, JobWindow{ID: rec.ID, Ranks: rec.Ranks, StartSec: ws, EndSec: we})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }

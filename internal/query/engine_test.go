@@ -20,6 +20,14 @@ import (
 // archive as its Source.
 func buildQueryCluster(t *testing.T, size int, pmCfg powermon.Config) (*cluster.Cluster, *query.Client) {
 	t.Helper()
+	c, cl, _ := queryCluster(t, size, pmCfg)
+	return c, cl
+}
+
+// queryCluster is buildQueryCluster that also hands back each rank's
+// monitor, for tests that read a Source directly.
+func queryCluster(t *testing.T, size int, pmCfg powermon.Config) (*cluster.Cluster, *query.Client, []*powermon.Module) {
+	t.Helper()
 	c, err := cluster.New(cluster.Config{System: cluster.Lassen, Nodes: size, Seed: 7})
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
@@ -40,7 +48,7 @@ func buildQueryCluster(t *testing.T, size int, pmCfg powermon.Config) (*cluster.
 	}); err != nil {
 		t.Fatalf("load query engine: %v", err)
 	}
-	return c, query.NewClient(c.Inst.Root())
+	return c, query.NewClient(c.Inst.Root()), mons
 }
 
 // evalBoth evaluates one expression through the pushdown and the
@@ -67,6 +75,26 @@ func evalBoth(t *testing.T, c *cluster.Cluster, cl *query.Client, expr string, e
 	return pushed, ref, res
 }
 
+// pushdownExprs is a representative slice of the grammar over [4m]
+// windows (and one [2w]), one of them filtered to job idA.
+func pushdownExprs(idA uint64) []string {
+	return []string{
+		"avg by (job) (avg_over_time(node_power_watts[4m]))",
+		"sum by (component) (avg_over_time(power_watts[4m]))",
+		"max(max_over_time(node_power_watts[4m]))",
+		"min by (rank) (min_over_time(cpu_power_watts[4m]))",
+		"count by (rank) (rate(node_power_watts[4m]))",
+		"sum(sum_over_time(gpu_power_watts[4m]))",
+		"topk(3, avg_over_time(cpu_power_watts[4m]))",
+		"topk(2, sum by (job) (sum_over_time(node_power_watts[4m])))",
+		`avg(avg_over_time(node_power_watts{rank="2"}[4m]))`,
+		fmt.Sprintf(`avg by (job) (avg_over_time(node_power_watts{job="%d"}[4m]))`, idA),
+		// Range >= 1e6 s: the canonical form must survive the per-rank
+		// re-parse (regression: 'g' formatting emitted 1.2096e+06).
+		"avg by (job) (avg_over_time(node_power_watts[2w]))",
+	}
+}
+
 // TestQueryPushdownMatchesReference is the engine's correctness
 // contract: for a representative slice of the grammar, the distributed
 // pushdown answer is byte-identical to the single-node reference
@@ -86,21 +114,7 @@ func TestQueryPushdownMatchesReference(t *testing.T) {
 	c.RunFor(5 * time.Minute)
 	end := c.Now().Seconds()
 
-	exprs := []string{
-		"avg by (job) (avg_over_time(node_power_watts[4m]))",
-		"sum by (component) (avg_over_time(power_watts[4m]))",
-		"max(max_over_time(node_power_watts[4m]))",
-		"min by (rank) (min_over_time(cpu_power_watts[4m]))",
-		"count by (rank) (rate(node_power_watts[4m]))",
-		"sum(sum_over_time(gpu_power_watts[4m]))",
-		"topk(3, avg_over_time(cpu_power_watts[4m]))",
-		"topk(2, sum by (job) (sum_over_time(node_power_watts[4m])))",
-		`avg(avg_over_time(node_power_watts{rank="2"}[4m]))`,
-		fmt.Sprintf(`avg by (job) (avg_over_time(node_power_watts{job="%d"}[4m]))`, idA),
-		// Range >= 1e6 s: the canonical form must survive the per-rank
-		// re-parse (regression: 'g' formatting emitted 1.2096e+06).
-		"avg by (job) (avg_over_time(node_power_watts[2w]))",
-	}
+	exprs := pushdownExprs(idA)
 	for _, expr := range exprs {
 		pushed, ref, res := evalBoth(t, c, cl, expr, end)
 		if string(pushed) != string(ref) {

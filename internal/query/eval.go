@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -125,23 +126,34 @@ func MergePartial(a, b Partial) (Partial, error) {
 	return out, nil
 }
 
+// unionSorted merges two sorted, duplicate-free source lists. Ranks
+// almost always read the same resolution, so equal lists — the common
+// case at every combine — come back as a without allocating.
 func unionSorted(a, b []string) []string {
+	if len(b) == 0 || slices.Equal(a, b) {
+		return a
+	}
 	if len(a) == 0 {
 		return b
 	}
-	if len(b) == 0 {
-		return a
-	}
-	seen := make(map[string]bool, len(a)+len(b))
-	var out []string
-	for _, s := range append(append([]string(nil), a...), b...) {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
+	out := make([]string, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case b[j] < a[i]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
 		}
 	}
-	sort.Strings(out)
-	return out
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // seriesAcc accumulates one series' window.
@@ -203,7 +215,7 @@ func (s *seriesAcc) scalar(fn string) float64 {
 
 // sampleValue extracts one component's value from a raw sample; ok is
 // false where the platform cannot measure the component.
-func sampleValue(p variorum.NodePower, comp string) (float64, bool) {
+func sampleValue(p *variorum.NodePower, comp string) (float64, bool) {
 	switch comp {
 	case "node":
 		return p.TotalWatts(), true
@@ -219,7 +231,7 @@ func sampleValue(p variorum.NodePower, comp string) (float64, bool) {
 }
 
 // bucketAgg extracts one component's aggregate from a bucket.
-func bucketAgg(b Bucket, comp string) stats.Agg {
+func bucketAgg(b *Bucket, comp string) stats.Agg {
 	switch comp {
 	case "node":
 		return b.Power.Node
@@ -276,91 +288,143 @@ func (id seriesID) groupKey(by []string, rank int32) string {
 }
 
 // FoldLocal evaluates one rank's share of the plan over its selected
-// records, producing the mergeable partial. It is the single evaluation
-// kernel: the distributed executor runs it per rank inside the reduce
-// combiner, and the reference evaluator runs it over fetched replies —
-// byte-identical results fall out of sharing the code and the records.
+// records, producing the mergeable partial. The fetch service's replies,
+// the reference evaluator and durable reads fold through it; the
+// pushdown's raw and in-memory tier reads feed the same folder in place
+// from a Scanner. Byte-identical results fall out of sharing the kernel
+// and the records.
 func FoldLocal(e *Expr, spec PlanSpec, rank int32, data LocalData) Partial {
-	out := Partial{Complete: data.Complete}
-	if !rankSelected(e, rank) {
-		out.Complete = true
-		return out
+	f := newFolder(e, spec, rank, data.Source, data.Complete)
+	for i := range data.Samples {
+		f.sample(&data.Samples[i])
 	}
-	comps := selectedComponents(e)
-	// Attribute the source whenever a read happened, not only when it
-	// returned records: a degraded coarsest tier with zero covering
-	// buckets still needs to show up in X-Source for the Complete=false
-	// answer to be explainable. Skipped ranks carry no Source.
-	if data.Source != "" {
-		out.Sources = []string{data.Source}
+	for i := range data.Buckets {
+		f.bucket(&data.Buckets[i])
 	}
+	return f.partial()
+}
 
-	acc := make(map[seriesID]*seriesAcc)
-	series := func(id seriesID) *seriesAcc {
-		s := acc[id]
-		if s == nil {
-			s = &seriesAcc{}
-			acc[id] = s
-		}
-		return s
-	}
+// folder is the single evaluation kernel: it folds one rank's records,
+// fed one at a time and oldest first, into the rank's partial. It keeps
+// no pointer it is handed, so a Scanner may feed it the storage's own
+// slots.
+type folder struct {
+	e        *Expr
+	rank     int32
+	selected bool // false: the rank matcher excludes the rank
+	out      Partial
+	comps    []string
+	// jobs are the rank's job windows when byJob, the expression being
+	// job-scoped; first[i] is the series slot of jobs[i]'s job.
+	byJob bool
+	jobs  []JobWindow
+	first []int
+	// accs holds one series per (job, component): slot j·len(comps)+c
+	// is job jobIDs[j]'s component comps[c] (job 0 when not job-scoped).
+	jobIDs []uint64
+	accs   []seriesAcc
+}
 
-	if e.NeedsJobs() {
-		jobs := rankJobs(e, spec, rank)
-		for _, w := range jobs {
-			for _, p := range data.Samples {
-				if p.Timestamp < w.StartSec || p.Timestamp >= w.EndSec {
-					continue
-				}
-				for _, c := range comps {
-					if v, ok := sampleValue(p, c); ok {
-						series(seriesID{job: w.ID, comp: c}).addPoint(p.Timestamp, v)
-					}
-				}
-			}
-			for _, b := range data.Buckets {
-				mid := b.MidSec()
-				if mid < w.StartSec || mid >= w.EndSec {
-					continue
-				}
-				for _, c := range comps {
-					series(seriesID{job: w.ID, comp: c}).addBucket(mid, bucketAgg(b, c))
-				}
-			}
-		}
+// newFolder prepares the series a rank can contribute. A rank the rank
+// matcher excludes folds nothing and answers an empty complete partial
+// with no source; otherwise the source is attributed whenever a read
+// happened, not only when it returned records: a degraded coarsest tier
+// with zero covering buckets still needs to show up in X-Source for the
+// Complete=false answer to be explainable.
+func newFolder(e *Expr, spec PlanSpec, rank int32, source string, complete bool) folder {
+	f := folder{e: e, rank: rank, selected: rankSelected(e, rank), out: Partial{Complete: complete}}
+	if !f.selected {
+		f.out.Complete = true
+		return f
+	}
+	if source != "" {
+		f.out.Sources = []string{source}
+	}
+	f.comps = selectedComponents(e)
+	if f.byJob = e.NeedsJobs(); !f.byJob {
+		f.jobIDs = []uint64{0}
 	} else {
-		for _, p := range data.Samples {
-			for _, c := range comps {
-				if v, ok := sampleValue(p, c); ok {
-					series(seriesID{comp: c}).addPoint(p.Timestamp, v)
-				}
+		f.jobs = rankJobs(e, spec, rank)
+		f.first = make([]int, len(f.jobs))
+		for i, w := range f.jobs {
+			j := slices.Index(f.jobIDs, w.ID)
+			if j < 0 {
+				j = len(f.jobIDs)
+				f.jobIDs = append(f.jobIDs, w.ID)
 			}
-		}
-		for _, b := range data.Buckets {
-			for _, c := range comps {
-				series(seriesID{comp: c}).addBucket(b.MidSec(), bucketAgg(b, c))
-			}
+			f.first[i] = j * len(f.comps)
 		}
 	}
+	f.accs = make([]seriesAcc, len(f.jobIDs)*len(f.comps))
+	return f
+}
 
-	seriesTopK := e.Op == OpTopK && e.InnerOp == ""
-	if seriesTopK {
-		out.Top = stats.NewTopK(e.K)
+// sample folds one raw sample into every series whose window holds it.
+func (f *folder) sample(p *variorum.NodePower) {
+	if !f.byJob {
+		f.addSample(0, p)
+		return
 	}
-	for id, s := range acc {
+	for i := range f.jobs {
+		if w := &f.jobs[i]; p.Timestamp >= w.StartSec && p.Timestamp < w.EndSec {
+			f.addSample(f.first[i], p)
+		}
+	}
+}
+
+func (f *folder) addSample(slot int, p *variorum.NodePower) {
+	for c, comp := range f.comps {
+		if v, ok := sampleValue(p, comp); ok {
+			f.accs[slot+c].addPoint(p.Timestamp, v)
+		}
+	}
+}
+
+// bucket folds one downsampled bucket into every series whose window
+// holds its midpoint.
+func (f *folder) bucket(b *Bucket) {
+	mid := b.MidSec()
+	if !f.byJob {
+		f.addBucket(0, mid, b)
+		return
+	}
+	for i := range f.jobs {
+		if w := &f.jobs[i]; mid >= w.StartSec && mid < w.EndSec {
+			f.addBucket(f.first[i], mid, b)
+		}
+	}
+}
+
+func (f *folder) addBucket(slot int, mid float64, b *Bucket) {
+	for c, comp := range f.comps {
+		f.accs[slot+c].addBucket(mid, bucketAgg(b, comp))
+	}
+}
+
+// partial evaluates the window function per series and folds the
+// scalars into the groups or the top-k sketch.
+func (f *folder) partial() Partial {
+	out := f.out
+	seriesTopK := f.e.Op == OpTopK && f.e.InnerOp == ""
+	if seriesTopK && f.selected {
+		out.Top = stats.NewTopK(f.e.K)
+	}
+	for i := range f.accs {
+		s := &f.accs[i]
 		if s.points == 0 {
 			continue
 		}
-		v := s.scalar(e.Fn)
+		id := seriesID{job: f.jobIDs[i/len(f.comps)], comp: f.comps[i%len(f.comps)]}
+		v := s.scalar(f.e.Fn)
 		out.Series++
 		if seriesTopK {
-			out.Top.Add(id.key(rank), v)
+			out.Top.Add(id.key(f.rank), v)
 			continue
 		}
 		if out.Groups == nil {
 			out.Groups = make(map[string]GroupAgg)
 		}
-		k := id.groupKey(e.By, rank)
+		k := id.groupKey(f.e.By, f.rank)
 		out.Groups[k] = out.Groups[k].add(v)
 	}
 	return out

@@ -2,8 +2,13 @@ package query
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
+	"fluxpower/internal/flux/job"
 	"fluxpower/internal/flux/msg"
 )
 
@@ -66,5 +71,83 @@ func TestResolvePlanRejectsNonFinite(t *testing.T) {
 		if !ok || pe.code != msg.EINVAL {
 			t.Fatalf("start=%v end=%v: got %T %v, want EINVAL planError", tc.start, tc.end, err, err)
 		}
+	}
+}
+
+// unionSortedByMap is the map-and-sort union unionSorted replaced, kept
+// as its oracle.
+func unionSortedByMap(a, b []string) []string {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	seen := make(map[string]bool, len(a)+len(b))
+	var out []string
+	for _, s := range append(append([]string(nil), a...), b...) {
+		if !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestUnionSortedMatchesMapUnion: the linear merge agrees with the
+// map-based union on seeded random sorted, duplicate-free lists drawn
+// from the engine's source labels — equal, disjoint, nested, empty.
+func TestUnionSortedMatchesMapUnion(t *testing.T) {
+	labels := []string{SourceRaw, "tier:60", "tier:600", SourceStoreRaw, "tsdb:60", "tsdb:600"}
+	sort.Strings(labels)
+	rng := rand.New(rand.NewSource(1))
+	subset := func() []string {
+		var out []string
+		for _, l := range labels {
+			if rng.Intn(3) == 0 {
+				out = append(out, l)
+			}
+		}
+		return out
+	}
+	for i := 0; i < 5000; i++ {
+		a, b := subset(), subset()
+		if i%4 == 0 {
+			b = slices.Clone(a) // the common case: every rank read the same
+		}
+		got, want := unionSorted(a, b), unionSortedByMap(a, b)
+		if !slices.Equal(got, want) {
+			t.Fatalf("unionSorted(%q, %q) = %q, want %q", a, b, got, want)
+		}
+	}
+	same := []string{SourceRaw}
+	if n := testing.AllocsPerRun(100, func() { unionSorted(same, []string{SourceRaw}) }); n != 0 {
+		t.Fatalf("merging equal source lists allocated %v times", n)
+	}
+}
+
+// TestJobWindows pins the planner's attribution windows: only a RUN job
+// is open-ended. A finished job whose end equals its start — it ran for
+// no time — gets no window, where inferring "still running" from
+// EndSec <= StartSec used to charge it with the rest of the window.
+func TestJobWindows(t *testing.T) {
+	ranks := []int32{1, 2}
+	recs := []jobRecord{
+		{ID: 9, State: job.StateInactive, Ranks: ranks, StartSec: 40, EndSec: 40}, // zero-length, finished
+		{ID: 3, State: job.StateRun, Ranks: ranks, StartSec: 50},                  // running
+		{ID: 4, State: job.StateInactive, Ranks: ranks, StartSec: 10, EndSec: 70}, // clipped at both ends
+		{ID: 5, State: job.StateSched},                                            // never started
+		{ID: 6, State: job.StateRun, StartSec: 30},                                // no ranks
+		{ID: 7, State: job.StateInactive, Ranks: ranks, StartSec: 0, EndSec: 20},  // before the window
+		{ID: 8, State: job.StateRun, Ranks: ranks, StartSec: 120},                 // starts after it
+	}
+	got := jobWindows(recs, 20, 100)
+	want := []JobWindow{
+		{ID: 3, Ranks: ranks, StartSec: 50, EndSec: 100},
+		{ID: 4, Ranks: ranks, StartSec: 20, EndSec: 70},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("jobWindows:\ngot  %+v\nwant %+v", got, want)
 	}
 }

@@ -40,7 +40,10 @@ type SourceMeta struct {
 
 // Source is the node-local storage the engine reads, implemented by the
 // power monitor module. Defined here (and not in powermon) so powermon
-// can import query without a cycle.
+// can import query without a cycle. Each read method returns a copy the
+// caller owns: the fetch service ships it, the reference evaluator
+// folds it. A Source that also implements Scanner lets the pushdown
+// fold raw and in-memory tier windows without that copy.
 type Source interface {
 	// QueryMeta snapshots the planner metadata.
 	QueryMeta() SourceMeta
@@ -50,6 +53,20 @@ type Source interface {
 	QueryStoreRaw(start, end float64) ([]variorum.NodePower, error)
 	// QueryTier returns the tier's buckets intersecting [start, end].
 	QueryTier(periodSec float64, durable bool, start, end float64) []Bucket
+}
+
+// Scanner is the optional in-place read path of a Source. Each method
+// calls fn on exactly the records the matching Source method would
+// return, in the same order, while holding the source's lock: fn must
+// not keep the pointer past the call, must not modify the record and
+// must not call back into the source.
+type Scanner interface {
+	// ScanRaw visits the ring samples QueryRaw(start, end) returns.
+	ScanRaw(start, end float64, fn func(*variorum.NodePower))
+	// ScanTier visits the buckets QueryTier(periodSec, false, start,
+	// end) returns and reports whether an in-memory tier has the
+	// period; when it does not, fn is never called.
+	ScanTier(periodSec, start, end float64, fn func(*Bucket)) bool
 }
 
 // Source labels reported in results and the X-Source header.
@@ -159,7 +176,11 @@ type FetchReply struct {
 
 // readLocal plans and reads one node's share of the window.
 func readLocal(src Source, start, end float64) (LocalData, error) {
-	lp := selectLocal(src.QueryMeta(), start, end)
+	return readPlanned(src, selectLocal(src.QueryMeta(), start, end), start, end)
+}
+
+// readPlanned reads the records lp selected, copied out of src.
+func readPlanned(src Source, lp localPlan, start, end float64) (LocalData, error) {
 	out := LocalData{Source: lp.source, Complete: lp.complete}
 	switch {
 	case lp.useRaw:
@@ -174,4 +195,30 @@ func readLocal(src Source, start, end float64) (LocalData, error) {
 		out.Buckets = src.QueryTier(lp.tier.PeriodSec, lp.tier.Durable, start, end)
 	}
 	return out, nil
+}
+
+// foldSource plans one node's share of the window and folds it into the
+// rank's partial. Raw-ring and in-memory tier windows of a Scanner are
+// folded where they lie; everything else — durable reads, sources
+// without a Scanner — is copied out by readPlanned and folded by
+// FoldLocal. Both feed the same folder the same records in the same
+// order, so the partial does not depend on the path.
+func foldSource(src Source, e *Expr, spec PlanSpec, rank int32) (Partial, error) {
+	start, end := spec.StartSec, spec.EndSec
+	lp := selectLocal(src.QueryMeta(), start, end)
+	if sc, ok := src.(Scanner); ok && (lp.useRaw || lp.tier != nil && !lp.tier.Durable) {
+		f := newFolder(e, spec, rank, lp.source, lp.complete)
+		if lp.useRaw {
+			sc.ScanRaw(start, end, f.sample)
+			return f.partial(), nil
+		}
+		if sc.ScanTier(lp.tier.PeriodSec, start, end, f.bucket) {
+			return f.partial(), nil
+		}
+	}
+	data, err := readPlanned(src, lp, start, end)
+	if err != nil {
+		return Partial{}, err
+	}
+	return FoldLocal(e, spec, rank, data), nil
 }

@@ -3,6 +3,7 @@ package ringbuf
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -14,7 +15,8 @@ import (
 // may grow it and cross its capacity; the eager reference ring takes
 // every key by Push and must end up holding the same elements. The
 // property is exact agreement — SelectRange exists only as a faster
-// scan for monotonic keys, so any divergence is a bug.
+// scan for monotonic keys, and ScanRange only as SelectRange without
+// the copy, so any divergence among the three is a bug.
 func FuzzSelectRange(f *testing.F) {
 	f.Add(int64(8), int64(5), 1.0, 3.0, int64(1))
 	f.Add(int64(4), int64(16), 0.0, 100.0, int64(2)) // wrapped several times
@@ -73,6 +75,13 @@ func FuzzSelectRange(f *testing.F) {
 		if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("SelectRange disagrees with the scan:\ncap=%d pushes=%d window=[%v,%v]\nfast: %v\nscan: %v",
 				capacity, pushes, min, max, got, want)
+		}
+
+		var visited []float64
+		r.ScanRange(min, max, id, func(v *float64) { visited = append(visited, *v) })
+		if !slices.Equal(visited, got) {
+			t.Fatalf("ScanRange disagrees with SelectRange:\ncap=%d pushes=%d window=[%v,%v]\nscan:   %v\nselect: %v",
+				capacity, pushes, min, max, visited, got)
 		}
 
 		lo, hi := r.IndexRange(min, max, id)

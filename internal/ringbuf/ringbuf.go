@@ -142,19 +142,53 @@ func (r *Ring[T]) IndexRange(min, max float64, key func(T) float64) (lo, hi int)
 	return lo, hi
 }
 
+// span returns the live elements with indices [lo, hi) in place, oldest
+// first: the part before the backing array's wrap seam in a and the
+// rest in b. It requires 0 <= lo <= hi <= Len().
+func (r *Ring[T]) span(lo, hi int) (a, b []T) {
+	if hi <= lo {
+		return nil, nil
+	}
+	n := len(r.buf)
+	first := (r.head - r.length + n) % n // backing index of the oldest
+	from, to := first+lo, first+hi
+	switch {
+	case to <= n:
+		return r.buf[from:to], nil
+	case from >= n:
+		return r.buf[from-n : to-n], nil
+	}
+	return r.buf[from:], r.buf[:to-n]
+}
+
 // SelectRange returns a copy of the live elements whose key falls inside
 // [min, max], oldest first, assuming key is non-decreasing over the live
-// elements. It is the monitor's timestamp-window query.
+// elements. It is the monitor's timestamp-window query for callers that
+// keep the window; a caller that only folds it should use ScanRange,
+// which visits the same elements without the copy.
 func (r *Ring[T]) SelectRange(min, max float64, key func(T) float64) []T {
-	lo, hi := r.IndexRange(min, max, key)
-	if hi <= lo {
+	a, b := r.span(r.IndexRange(min, max, key))
+	if len(a) == 0 {
 		return nil
 	}
-	out := make([]T, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, r.At(i))
+	return append(append(make([]T, 0, len(a)+len(b)), a...), b...)
+}
+
+// ScanRange calls fn on every live element SelectRange would return, in
+// the same order (oldest first), in place: the pointer addresses the
+// ring's own slot, so fn must neither keep it past the call nor modify
+// the element's key. Nothing is copied or allocated, which is what lets
+// a window aggregate fold a 100k-sample ring without materialising it.
+// Like every Ring method it needs the owner's synchronisation: a
+// concurrent Push may overwrite the slot fn is reading.
+func (r *Ring[T]) ScanRange(min, max float64, key func(T) float64, fn func(*T)) {
+	a, b := r.span(r.IndexRange(min, max, key))
+	for i := range a {
+		fn(&a[i])
 	}
-	return out
+	for i := range b {
+		fn(&b[i])
+	}
 }
 
 // Reset discards all live elements. Capacity, eviction count and the

@@ -36,6 +36,25 @@ func BenchmarkRingBufferSelect(b *testing.B) {
 	}
 }
 
+// BenchmarkRingBufferScan is BenchmarkRingBufferSelect's window folded
+// in place: the same elements visited, none copied.
+func BenchmarkRingBufferScan(b *testing.B) {
+	r := New[sample](100_000)
+	for i := 0; i < 100_000; i++ {
+		r.Push(sample{T: float64(i) * 2})
+	}
+	key := func(s sample) float64 { return s.T }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum := 0.0
+		r.ScanRange(100_000, 150_000, key, func(s *sample) { sum += s.Vals[0] + 1 })
+		if sum == 0 {
+			b.Fatal("empty scan")
+		}
+	}
+}
+
 // BenchmarkRingBufferFill measures what growing on demand costs: filling
 // an empty 100k ring to capacity, one Push per sample.
 func BenchmarkRingBufferFill(b *testing.B) {

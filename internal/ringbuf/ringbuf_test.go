@@ -216,6 +216,38 @@ func TestSelectRangeMatchesSelect(t *testing.T) {
 	}
 }
 
+// TestScanRangeInPlace: ScanRange hands out the ring's own slots —
+// across the wrap seam, oldest first — and allocates nothing, which is
+// the whole reason it exists next to SelectRange.
+func TestScanRangeInPlace(t *testing.T) {
+	key := func(v float64) float64 { return v }
+	r := New[float64](8)
+	for i := 0; i < 13; i++ { // wrapped: keys 5..12, seam between 7 and 8
+		r.Push(float64(i))
+	}
+	var got []float64
+	var slots []*float64
+	r.ScanRange(6, 10, key, func(v *float64) {
+		got = append(got, *v)
+		slots = append(slots, v)
+	})
+	if want := []float64{6, 7, 8, 9, 10}; !slices.Equal(got, want) {
+		t.Fatalf("ScanRange visited %v, want %v", got, want)
+	}
+	for i, p := range slots {
+		if p != &r.buf[(r.head-r.length+len(r.buf)+1+i)%len(r.buf)] {
+			t.Fatalf("visit %d is not the ring's own slot", i)
+		}
+	}
+	sum := 0.0
+	add := func(v *float64) { sum += *v }
+	if n := testing.AllocsPerRun(100, func() { r.ScanRange(0, 100, key, add) }); n != 0 {
+		t.Fatalf("ScanRange allocated %v times per scan", n)
+	}
+	r.ScanRange(20, 30, key, func(*float64) { t.Fatal("visited an element outside the window") })
+	New[float64](4).ScanRange(0, 100, key, func(*float64) { t.Fatal("visited an element of an empty ring") })
+}
+
 func TestSelectRangeEmptyRing(t *testing.T) {
 	r := New[float64](8)
 	if got := r.SelectRange(0, 100, func(v float64) float64 { return v }); got != nil {
