@@ -535,7 +535,7 @@ type AggPartial struct {
 
 // localWindowAgg is the reduction's Local: this node's window aggregate
 // from the best archive resolution.
-func (m *Module) localWindowAgg(body json.RawMessage) (AggPartial, error) {
+func (m *Module) localWindowAgg(body, _ json.RawMessage) (AggPartial, error) {
 	var req collectRequest
 	if len(body) > 0 {
 		if err := json.Unmarshal(body, &req); err != nil {

@@ -13,6 +13,16 @@
 // cluster-wide gather costs O(fanout · aggregate) bytes at the root
 // instead of the O(N · raw) of a flat rank-0 fan-out.
 //
+// Besides the body every rank sees, a request may carry rank bodies:
+// one entry per rank that needs its own input. Each hop forwards a
+// child only the entries of ranks in that child's subtree, so a rank
+// receives and decodes its own entry and nothing of its siblings'.
+//
+// Every payload is decoded and encoded once per hop: a child's reply
+// decodes straight into the typed aggregate, the merged aggregate is
+// encoded once into this rank's reply, and the root hands its merged
+// value to the caller without a JSON round trip.
+//
 // Failure degrades instead of propagating: a child that cannot answer
 // within its share of the deadline (dead broker, unloaded module, hung
 // handler) is counted as its whole subtree missing, and the aggregate
@@ -25,6 +35,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"time"
 
 	"fluxpower/internal/flux/broker"
@@ -60,10 +72,14 @@ func (c Config) withDefaults() Config {
 
 // Op is the typed combiner a module registers under a topic. P must
 // round-trip through JSON: partial aggregates travel the tree as message
-// payloads.
+// payloads. An aggregate that cannot be encoded (a NaN float, say)
+// counts every rank merged into it as missing.
 type Op[P any] struct {
-	// Local computes this rank's contribution from the request body.
-	Local func(body json.RawMessage) (P, error)
+	// Local computes this rank's contribution from the request body,
+	// which every rank sees, and own, this rank's entry of the request's
+	// rank bodies (nil when the request carries none for it). Ops that
+	// take no per-rank input ignore own.
+	Local func(body, own json.RawMessage) (P, error)
 	// Merge combines two partial aggregates built over disjoint rank
 	// sets. It must be insensitive to combining order (the tree imposes
 	// its own).
@@ -118,24 +134,45 @@ type treeRequest struct {
 	// heal the tree can be deeper than the static formula depth, and a
 	// depth-derived margin would expire spuriously.
 	Hops int `json:"hops,omitempty"`
-	// Body is the op-specific request (e.g. a sample window).
+	// Body is the op-specific request every rank sees (e.g. a sample
+	// window).
 	Body json.RawMessage `json:"body,omitempty"`
+	// RankBodies holds per-rank input, keyed by rank. A hop forwards
+	// each child only the entries of ranks in its subtree and hands its
+	// own entry to Local.
+	RankBodies map[int32]json.RawMessage `json:"rank_bodies,omitempty"`
 }
 
-// treeResponse is the combined partial aggregate flowing up.
-type treeResponse struct {
-	Ranks     int             `json:"ranks"`
-	Missing   int             `json:"missing,omitempty"`
-	Partial   bool            `json:"partial,omitempty"`
-	Aggregate json.RawMessage `json:"aggregate,omitempty"`
+// treeResponse is the combined partial aggregate flowing up. The
+// aggregate is embedded as P itself, so a reply decodes straight into
+// the typed value; its bytes are the compact JSON of P, exactly what a
+// raw-message envelope around json.Marshal(P) carries.
+type treeResponse[P any] struct {
+	Ranks     int  `json:"ranks"`
+	Missing   int  `json:"missing,omitempty"`
+	Partial   bool `json:"partial,omitempty"`
+	Aggregate *P   `json:"aggregate,omitempty"`
 }
 
 // Reduce runs a reduction rooted at this broker's rank, covering targets
 // (nil = every rank in this rank's subtree; from rank 0 that is the
-// whole instance). A non-positive timeout selects Config.ChildTimeout.
-// Targets outside this rank's subtree cannot be reached by downward
-// routing and are reported in Missing.
+// whole instance), with no rank bodies. See ReduceRanked.
 func (r *Reducer[P]) Reduce(targets []int32, body any, timeout time.Duration) (Result[P], error) {
+	return r.ReduceRanked(targets, body, nil, timeout)
+}
+
+// ReduceRanked runs a reduction rooted at this broker's rank, covering
+// targets (nil = every rank in this rank's subtree). body reaches every
+// contributing rank; rankBodies[x], when present, reaches rank x alone
+// as Local's own argument. Entries for ranks no current child owns are
+// dropped. A non-positive timeout selects Config.ChildTimeout. Targets
+// outside this rank's subtree cannot be reached by downward routing and
+// are reported in Missing.
+//
+// The merged aggregate comes back typed, without a JSON round trip;
+// like every other hop, the root counts an aggregate that cannot be
+// encoded as all of its ranks missing.
+func (r *Reducer[P]) ReduceRanked(targets []int32, body any, rankBodies map[int32]json.RawMessage, timeout time.Duration) (Result[P], error) {
 	raw, err := json.Marshal(body)
 	if err != nil {
 		return Result[P]{}, fmt.Errorf("reduce: marshal body: %w", err)
@@ -143,12 +180,14 @@ func (r *Reducer[P]) Reduce(targets []int32, body any, timeout time.Duration) (R
 	if timeout <= 0 {
 		timeout = r.cfg.ChildTimeout
 	}
-	tresp := r.run(treeRequest{Targets: targets, TimeoutSec: timeout.Seconds(), Body: raw})
+	// run sorts the targets in place; the caller's slice stays as given.
+	tresp := r.run(treeRequest{Targets: slices.Clone(targets), TimeoutSec: timeout.Seconds(), Body: raw, RankBodies: rankBodies})
 	out := Result[P]{Ranks: tresp.Ranks, Missing: tresp.Missing, Partial: tresp.Partial}
-	if tresp.Ranks > 0 {
-		if err := json.Unmarshal(tresp.Aggregate, &out.Aggregate); err != nil {
-			return Result[P]{}, fmt.Errorf("reduce: decode aggregate: %w", err)
+	if tresp.Aggregate != nil {
+		if json.NewEncoder(io.Discard).Encode(tresp.Aggregate) != nil {
+			return Result[P]{Missing: out.Missing + out.Ranks, Partial: true}, nil
 		}
+		out.Aggregate = *tresp.Aggregate
 	}
 	return out, nil
 }
@@ -157,65 +196,101 @@ func (r *Reducer[P]) Reduce(targets []int32, body any, timeout time.Duration) (R
 func (r *Reducer[P]) Topic() string { return r.topic }
 
 // handle serves the topic on every rank: run the subtree reduction and
-// respond with the combined partial.
+// respond with the combined partial, encoded once.
 func (r *Reducer[P]) handle(req *broker.Request) {
 	var tr treeRequest
 	if err := req.Msg.Unmarshal(&tr); err != nil {
 		_ = req.Fail(msg.EINVAL, err.Error())
 		return
 	}
-	_ = req.Respond(r.run(tr))
+	out := r.run(tr)
+	if req.Respond(out) != nil {
+		// An aggregate that cannot be encoded loses every contribution
+		// below this rank: report them missing rather than lie upward or
+		// leave the parent waiting for a reply that never comes.
+		_ = req.Respond(treeResponse[P]{Missing: out.Missing + out.Ranks, Partial: true})
+	}
 }
 
 // childPart is one child's share of the reduction: the targets in its
-// subtree, or all of it (everything == true) for an unscoped request.
+// subtree, or all of it (everything == true) for an unscoped request,
+// and the rank bodies of the ranks it owns.
 type childPart struct {
+	rank       int32
 	targets    []int32
 	everything bool
+	bodies     map[int32]json.RawMessage
 }
 
 // expected returns how many contributions the child's share covers.
-func (r *Reducer[P]) expected(child int32, part childPart) int {
+func (r *Reducer[P]) expected(part *childPart) int {
 	if part.everything {
-		return r.b.ChildSubtreeCount(child)
+		return r.b.ChildSubtreeCount(part.rank)
 	}
 	return len(part.targets)
 }
 
-// partition splits the request's targets among this rank and its direct
-// children, asking the broker which child currently owns each target so
-// the split follows the live topology (the closed-form tree until a
-// heal mutates it). outOfScope counts targets outside this rank's
-// subtree (unreachable by downward routing).
-func (r *Reducer[P]) partition(targets []int32) (local bool, parts map[int32]childPart, outOfScope int) {
+// partition splits the request among this rank and its direct children
+// in one pass over the targets and one over the rank bodies, asking the
+// broker which child currently owns each rank so the split follows the
+// live topology (the closed-form tree until a heal mutates it). Parts
+// come back in Children() order. tr.Targets must be sorted and free of
+// duplicates. own is this rank's rank body; entries for ranks that are
+// not targeted or that no child owns are dropped. outOfScope counts
+// targets outside this rank's subtree (unreachable by downward routing).
+func (r *Reducer[P]) partition(tr *treeRequest) (local bool, own json.RawMessage, parts []childPart, outOfScope int) {
 	rank, size := r.b.Rank(), r.b.Size()
-	parts = make(map[int32]childPart)
-	if targets == nil {
-		for _, c := range r.b.Children() {
-			parts[c] = childPart{everything: true}
-		}
-		return true, parts, 0
+	children := r.b.Children()
+	parts = make([]childPart, len(children))
+	for i, c := range children {
+		parts[i] = childPart{rank: c, everything: tr.Targets == nil}
 	}
-	seen := make(map[int32]bool, len(targets))
-	for _, t := range targets {
-		if t < 0 || t >= size || seen[t] {
+	local = tr.Targets == nil
+	for _, t := range tr.Targets {
+		if t < 0 || t >= size {
 			continue
 		}
-		seen[t] = true
 		if t == rank {
 			local = true
 			continue
 		}
-		below, ok := r.b.OwningChild(t)
+		i, ok := r.owner(children, t)
 		if !ok {
 			outOfScope++
 			continue
 		}
-		p := parts[below]
-		p.targets = append(p.targets, t)
-		parts[below] = p
+		parts[i].targets = append(parts[i].targets, t)
 	}
-	return local, parts, outOfScope
+	for t, body := range tr.RankBodies {
+		if tr.Targets != nil {
+			if _, targeted := slices.BinarySearch(tr.Targets, t); !targeted {
+				continue
+			}
+		}
+		if t == rank {
+			own = body
+			continue
+		}
+		i, ok := r.owner(children, t)
+		if !ok {
+			continue
+		}
+		if parts[i].bodies == nil {
+			parts[i].bodies = make(map[int32]json.RawMessage)
+		}
+		parts[i].bodies[t] = body
+	}
+	return local, own, parts, outOfScope
+}
+
+// owner returns the index in children (sorted) of the child whose
+// subtree currently holds rank t.
+func (r *Reducer[P]) owner(children []int32, t int32) (int, bool) {
+	c, ok := r.b.OwningChild(t)
+	if !ok {
+		return 0, false
+	}
+	return slices.BinarySearch(children, c)
 }
 
 // hopBudget derives the deadline split for the next tree level from the
@@ -241,9 +316,14 @@ func hopBudget(timeout, margin time.Duration, hops int) (childBudget, childWait 
 
 // run reduces this rank's subtree for one request: fan the request out
 // to the owning children, fold in the local contribution, merge the
-// partials, and account every rank that could not contribute.
-func (r *Reducer[P]) run(tr treeRequest) treeResponse {
-	local, parts, outOfScope := r.partition(tr.Targets)
+// partials, and account every rank that could not contribute. It sorts
+// tr.Targets in place and drops duplicates.
+func (r *Reducer[P]) run(tr treeRequest) treeResponse[P] {
+	if tr.Targets != nil {
+		slices.Sort(tr.Targets)
+		tr.Targets = slices.Compact(tr.Targets)
+	}
+	local, own, parts, outOfScope := r.partition(&tr)
 
 	timeout := r.cfg.ChildTimeout
 	if tr.TimeoutSec > 0 {
@@ -257,28 +337,29 @@ func (r *Reducer[P]) run(tr treeRequest) treeResponse {
 	// Fan out before any fan-in, so child subtrees reduce concurrently
 	// and a dead child costs one timeout total, not one per child.
 	type pendingChild struct {
-		rank   int32
-		part   childPart
+		part   *childPart
 		future *broker.Future
 	}
 	pending := make([]pendingChild, 0, len(parts))
-	for _, c := range r.b.Children() {
-		part, ok := parts[c]
-		if !ok || (!part.everything && len(part.targets) == 0) {
+	for i := range parts {
+		part := &parts[i]
+		if !part.everything && len(part.targets) == 0 {
 			continue
 		}
-		sub := treeRequest{TimeoutSec: childBudget.Seconds(), Hops: tr.Hops + 1, Body: tr.Body}
-		if !part.everything {
-			sub.Targets = part.targets
+		sub := treeRequest{
+			Targets:    part.targets,
+			TimeoutSec: childBudget.Seconds(),
+			Hops:       tr.Hops + 1,
+			Body:       tr.Body,
+			RankBodies: part.bodies,
 		}
 		pending = append(pending, pendingChild{
-			rank:   c,
 			part:   part,
-			future: r.b.RPCWithTimeout(c, r.topic, sub, childWait),
+			future: r.b.RPCWithTimeout(part.rank, r.topic, sub, childWait),
 		})
 	}
 
-	out := treeResponse{Missing: outOfScope}
+	out := treeResponse[P]{Missing: outOfScope}
 	// A whole-instance sweep from the root must account for subtrees
 	// currently detached mid-heal: nobody owns their ranks, so no child
 	// part covers them. On a pristine topology the gap is zero.
@@ -289,7 +370,7 @@ func (r *Reducer[P]) run(tr treeRequest) treeResponse {
 	}
 	var agg P
 	if local {
-		p, err := r.op.Local(tr.Body)
+		p, err := r.op.Local(tr.Body, own)
 		if err != nil {
 			out.Missing++
 		} else {
@@ -301,27 +382,26 @@ func (r *Reducer[P]) run(tr treeRequest) treeResponse {
 		resp, err := pc.future.Wait(childWait)
 		if err != nil {
 			// Dead or deaf subtree: every rank it covers is missing.
-			out.Missing += r.expected(pc.rank, pc.part)
+			out.Missing += r.expected(pc.part)
 			continue
 		}
-		var cr treeResponse
+		var cr treeResponse[P]
 		if err := resp.Unmarshal(&cr); err != nil {
-			out.Missing += r.expected(pc.rank, pc.part)
+			out.Missing += r.expected(pc.part)
 			continue
 		}
 		out.Missing += cr.Missing
 		if cr.Ranks == 0 {
 			continue
 		}
-		var cp P
-		if err := json.Unmarshal(cr.Aggregate, &cp); err != nil {
+		if cr.Aggregate == nil {
 			out.Missing += cr.Ranks
 			continue
 		}
 		if out.Ranks == 0 {
-			agg = cp
+			agg = *cr.Aggregate
 		} else {
-			merged, err := r.op.Merge(agg, cp)
+			merged, err := r.op.Merge(agg, *cr.Aggregate)
 			if err != nil {
 				out.Missing += cr.Ranks
 				continue
@@ -332,13 +412,7 @@ func (r *Reducer[P]) run(tr treeRequest) treeResponse {
 	}
 	out.Partial = out.Missing > 0
 	if out.Ranks > 0 {
-		raw, err := json.Marshal(agg)
-		if err != nil {
-			// An unmarshalable aggregate loses every contribution below
-			// this rank; report them missing rather than lying upward.
-			return treeResponse{Missing: out.Missing + out.Ranks, Partial: true}
-		}
-		out.Aggregate = raw
+		out.Aggregate = &agg
 	}
 	return out
 }
@@ -348,7 +422,7 @@ func (r *Reducer[P]) run(tr treeRequest) treeResponse {
 // the plane.
 func CountOp() Op[int] {
 	return Op[int]{
-		Local: func(json.RawMessage) (int, error) { return 1, nil },
+		Local: func(_, _ json.RawMessage) (int, error) { return 1, nil },
 		Merge: func(a, b int) (int, error) { return a + b, nil },
 	}
 }

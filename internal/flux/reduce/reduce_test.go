@@ -18,11 +18,13 @@ type sumPartial struct {
 	Max int32 `json:"max"`
 }
 
-// testModule registers a count reducer and a rank-sum reducer on each
-// broker, as a power module would in its Init.
+// testModule registers a count reducer, a rank-sum reducer and a
+// rank-body echo reducer on each broker, as a power module would in its
+// Init.
 type testModule struct {
 	count *Reducer[int]
 	sum   *Reducer[sumPartial]
+	echo  *Reducer[map[int32]string]
 	cfg   Config
 }
 
@@ -36,7 +38,7 @@ func (m *testModule) Init(ctx *broker.Context) error {
 	}
 	rank := ctx.Rank()
 	m.sum, err = Register(ctx, "reduce-test.sum", Op[sumPartial]{
-		Local: func(json.RawMessage) (sumPartial, error) {
+		Local: func(_, _ json.RawMessage) (sumPartial, error) {
 			return sumPartial{Sum: rank, Min: rank, Max: rank}, nil
 		},
 		Merge: func(a, b sumPartial) (sumPartial, error) {
@@ -50,7 +52,34 @@ func (m *testModule) Init(ctx *broker.Context) error {
 			return a, nil
 		},
 	}, m.cfg)
+	if err != nil {
+		return err
+	}
+	m.echo, err = Register(ctx, "reduce-test.echo", echoOp(rank), m.cfg)
 	return err
+}
+
+// echoOp reports, per contributing rank, the rank body it received
+// (empty when it received none). Merge refuses to see a rank twice.
+func echoOp(rank int32) Op[map[int32]string] {
+	return Op[map[int32]string]{
+		Local: func(_, own json.RawMessage) (map[int32]string, error) {
+			return map[int32]string{rank: string(own)}, nil
+		},
+		Merge: func(a, b map[int32]string) (map[int32]string, error) {
+			out := make(map[int32]string, len(a)+len(b))
+			for r, v := range a {
+				out[r] = v
+			}
+			for r, v := range b {
+				if _, dup := out[r]; dup {
+					return nil, fmt.Errorf("rank %d contributed twice", r)
+				}
+				out[r] = v
+			}
+			return out, nil
+		},
+	}
 }
 
 // simInstance builds a deterministic instance with the test module on
@@ -188,7 +217,7 @@ func TestReduceLocalErrorCountsMissing(t *testing.T) {
 			InitFn: func(ctx *broker.Context) error {
 				op := CountOp()
 				if rank == 2 {
-					op.Local = func(json.RawMessage) (int, error) { return 0, fmt.Errorf("sensor offline") }
+					op.Local = func(_, _ json.RawMessage) (int, error) { return 0, fmt.Errorf("sensor offline") }
 				}
 				r, err := Register(ctx, "flaky.count", op, Config{})
 				reducers = append(reducers, r)

@@ -109,51 +109,60 @@ func (m *Module) Init(ctx *broker.Context) error {
 	return nil
 }
 
-// localPlanFor parses the plan body and decides whether this rank needs
-// to read anything at all: a rank excluded by the rank matcher, or with
-// no job window in a job-scoped query, answers an empty complete
-// partial without touching storage.
-func (m *Module) localPlanFor(body json.RawMessage) (*Expr, PlanSpec, bool, error) {
+// parsePlan decodes a plan body and parses its expression.
+func parsePlan(body json.RawMessage) (*Expr, PlanSpec, error) {
 	var spec PlanSpec
 	if err := json.Unmarshal(body, &spec); err != nil {
-		return nil, PlanSpec{}, false, err
+		return nil, PlanSpec{}, err
 	}
 	e, err := Parse(spec.Expr)
 	if err != nil {
-		return nil, PlanSpec{}, false, err
+		return nil, PlanSpec{}, err
 	}
-	rank := m.ctx.Rank()
-	if !rankSelected(e, rank) {
-		return e, spec, true, nil
-	}
-	if e.NeedsJobs() && len(rankJobs(e, spec, rank)) == 0 {
-		return e, spec, true, nil
-	}
-	return e, spec, false, nil
+	return e, spec, nil
 }
 
-// localPartial is the reduce Local hook: plan, read, fold.
-func (m *Module) localPartial(body json.RawMessage) (Partial, error) {
-	e, spec, skip, err := m.localPlanFor(body)
+// localPartial is the reduce Local hook: plan, read, fold. body is the
+// plan without job windows; own is this rank's job windows, present
+// only for job-scoped queries and only on ranks that ran a job in the
+// window. A rank excluded by the rank matcher, or with no job window
+// in a job-scoped query, answers an empty complete partial without
+// touching storage.
+func (m *Module) localPartial(body, own json.RawMessage) (Partial, error) {
+	e, spec, err := parsePlan(body)
 	if err != nil {
 		return Partial{}, err
 	}
-	if skip {
+	rank := m.ctx.Rank()
+	if !rankSelected(e, rank) {
 		return Partial{Complete: true}, nil
 	}
-	return foldSource(m.src, e, spec, m.ctx.Rank())
+	var jobs []JobWindow
+	if e.NeedsJobs() {
+		if len(own) > 0 {
+			if err := json.Unmarshal(own, &jobs); err != nil {
+				return Partial{}, err
+			}
+		}
+		if len(jobs) == 0 {
+			return Partial{Complete: true}, nil
+		}
+	}
+	return foldSource(m.src, e, spec.StartSec, spec.EndSec, jobs, rank)
 }
 
 // handleFetch ships this rank's plan-selected records — what the
-// pushdown would have folded locally, unfolded.
+// pushdown would have folded locally, unfolded. It takes the full plan
+// and skips the read on exactly the ranks localPartial skips.
 func (m *Module) handleFetch(req *broker.Request) {
-	_, spec, skip, err := m.localPlanFor(req.Msg.Payload)
+	e, spec, err := parsePlan(req.Msg.Payload)
 	if err != nil {
 		_ = req.Fail(msg.EINVAL, err.Error())
 		return
 	}
-	reply := FetchReply{Rank: m.ctx.Rank(), LocalData: LocalData{Complete: true}}
-	if !skip {
+	rank := m.ctx.Rank()
+	reply := FetchReply{Rank: rank, LocalData: LocalData{Complete: true}}
+	if rankSelected(e, rank) && (!e.NeedsJobs() || len(rankJobs(e, spec, rank)) > 0) {
 		data, err := readLocal(m.src, spec.StartSec, spec.EndSec)
 		if err != nil {
 			_ = req.Fail(msg.EPROTO, err.Error())
@@ -166,8 +175,9 @@ func (m *Module) handleFetch(req *broker.Request) {
 
 // handleEval evaluates an expression across the instance: resolve the
 // plan once at the root, push it down the reduce tree, finalize the
-// merged partial. A dead subtree degrades the answer to Partial=true;
-// only a malformed request fails.
+// merged partial. The plan goes down without its job windows; each
+// rank's windows travel as that rank's own reduce body. A dead subtree
+// degrades the answer to Partial=true; only a malformed request fails.
 func (m *Module) handleEval(req *broker.Request) {
 	var body EvalRequest
 	if err := req.Msg.Unmarshal(&body); err != nil {
@@ -179,12 +189,60 @@ func (m *Module) handleEval(req *broker.Request) {
 		m.failPlan(req, err)
 		return
 	}
-	res, rerr := m.reducer.Reduce(nil, spec, m.cfg.Timeout)
+	down := spec
+	down.Jobs = nil
+	bodies, err := rankWindows(e, spec, m.ctx.Size())
+	if err != nil {
+		_ = req.Fail(msg.EPROTO, err.Error())
+		return
+	}
+	res, rerr := m.reducer.ReduceRanked(nil, down, bodies, m.cfg.Timeout)
 	if rerr != nil {
 		_ = req.Fail(msg.EPROTO, rerr.Error())
 		return
 	}
 	_ = req.Respond(Finalize(e, spec, res.Aggregate, res.Ranks, res.Missing))
+}
+
+// rankWindows splits a job-scoped plan's windows by rank for the
+// pushdown: each rank's windows after the job and rank matchers, in
+// plan order and without their rank lists, encoded as that rank's
+// reduce body. Per rank that is rankJobs with Ranks dropped. A rank
+// with no window gets no entry, and a query that is not job-scoped
+// gets no bodies at all.
+func rankWindows(e *Expr, spec PlanSpec, size int32) (map[int32]json.RawMessage, error) {
+	if !e.NeedsJobs() {
+		return nil, nil
+	}
+	id, filtered := jobFilter(e)
+	per := make([][]JobWindow, size)
+	last := make([]int, size) // 1 + index of the window a rank got last
+	for i, w := range spec.Jobs {
+		if filtered && w.ID != id {
+			continue
+		}
+		bare := JobWindow{ID: w.ID, StartSec: w.StartSec, EndSec: w.EndSec}
+		for _, r := range w.Ranks {
+			// A rank listed twice in one window still gets it once.
+			if r < 0 || r >= size || last[r] == i+1 || !rankSelected(e, r) {
+				continue
+			}
+			last[r] = i + 1
+			per[r] = append(per[r], bare)
+		}
+	}
+	bodies := make(map[int32]json.RawMessage)
+	for r, wins := range per {
+		if len(wins) == 0 {
+			continue
+		}
+		raw, err := json.Marshal(wins)
+		if err != nil {
+			return nil, fmt.Errorf("query: encode job windows: %w", err)
+		}
+		bodies[int32(r)] = raw
+	}
+	return bodies, nil
 }
 
 // handlePlan resolves a plan without executing it, for clients that

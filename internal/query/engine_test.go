@@ -28,6 +28,13 @@ func buildQueryCluster(t *testing.T, size int, pmCfg powermon.Config) (*cluster.
 // monitor, for tests that read a Source directly.
 func queryCluster(t *testing.T, size int, pmCfg powermon.Config) (*cluster.Cluster, *query.Client, []*powermon.Module) {
 	t.Helper()
+	return queryClusterWith(t, size, pmCfg, func(_ int32, m *powermon.Module) query.Source { return m })
+}
+
+// queryClusterWith is queryCluster with each engine reading the Source
+// that wrap makes of its rank's monitor.
+func queryClusterWith(t *testing.T, size int, pmCfg powermon.Config, wrap func(int32, *powermon.Module) query.Source) (*cluster.Cluster, *query.Client, []*powermon.Module) {
+	t.Helper()
 	c, err := cluster.New(cluster.Config{System: cluster.Lassen, Nodes: size, Seed: 7})
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
@@ -43,7 +50,7 @@ func queryCluster(t *testing.T, size int, pmCfg powermon.Config) (*cluster.Clust
 	}
 	if err := c.Inst.LoadModuleAll(func(rank int32) broker.Module {
 		return query.New(query.Config{
-			Source: func(rank int32) query.Source { return mons[rank] },
+			Source: func(rank int32) query.Source { return wrap(rank, mons[rank]) },
 		})
 	}); err != nil {
 		t.Fatalf("load query engine: %v", err)

@@ -294,7 +294,13 @@ func (id seriesID) groupKey(by []string, rank int32) string {
 // from a Scanner. Byte-identical results fall out of sharing the kernel
 // and the records.
 func FoldLocal(e *Expr, spec PlanSpec, rank int32, data LocalData) Partial {
-	f := newFolder(e, spec, rank, data.Source, data.Complete)
+	return foldData(e, rankJobs(e, spec, rank), rank, data)
+}
+
+// foldData folds a rank's copied-out records given the rank's own job
+// windows.
+func foldData(e *Expr, jobs []JobWindow, rank int32, data LocalData) Partial {
+	f := newFolder(e, jobs, rank, data.Source, data.Complete)
 	for i := range data.Samples {
 		f.sample(&data.Samples[i])
 	}
@@ -325,13 +331,15 @@ type folder struct {
 	accs   []seriesAcc
 }
 
-// newFolder prepares the series a rank can contribute. A rank the rank
-// matcher excludes folds nothing and answers an empty complete partial
-// with no source; otherwise the source is attributed whenever a read
-// happened, not only when it returned records: a degraded coarsest tier
-// with zero covering buckets still needs to show up in X-Source for the
-// Complete=false answer to be explainable.
-func newFolder(e *Expr, spec PlanSpec, rank int32, source string, complete bool) folder {
+// newFolder prepares the series a rank can contribute; jobs are the
+// rank's own job windows (rankJobs), used when the expression is
+// job-scoped. A rank the rank matcher excludes folds nothing and answers
+// an empty complete partial with no source; otherwise the source is
+// attributed whenever a read happened, not only when it returned
+// records: a degraded coarsest tier with zero covering buckets still
+// needs to show up in X-Source for the Complete=false answer to be
+// explainable.
+func newFolder(e *Expr, jobs []JobWindow, rank int32, source string, complete bool) folder {
 	f := folder{e: e, rank: rank, selected: rankSelected(e, rank), out: Partial{Complete: complete}}
 	if !f.selected {
 		f.out.Complete = true
@@ -344,7 +352,7 @@ func newFolder(e *Expr, spec PlanSpec, rank int32, source string, complete bool)
 	if f.byJob = e.NeedsJobs(); !f.byJob {
 		f.jobIDs = []uint64{0}
 	} else {
-		f.jobs = rankJobs(e, spec, rank)
+		f.jobs = jobs
 		f.first = make([]int, len(f.jobs))
 		for i, w := range f.jobs {
 			j := slices.Index(f.jobIDs, w.ID)
@@ -462,20 +470,26 @@ func selectedComponents(e *Expr) []string {
 	return comps
 }
 
+// jobFilter returns the job matcher's id, if the expression has one.
+func jobFilter(e *Expr) (uint64, bool) {
+	var id uint64
+	found := false
+	for _, m := range e.Matchers {
+		if m.Label == LabelJob {
+			id, _ = strconv.ParseUint(m.Value, 10, 64)
+			found = true
+		}
+	}
+	return id, found
+}
+
 // rankJobs returns the plan's job windows this rank participates in,
 // after the job matcher.
 func rankJobs(e *Expr, spec PlanSpec, rank int32) []JobWindow {
-	var jobFilter uint64
-	hasFilter := false
-	for _, m := range e.Matchers {
-		if m.Label == LabelJob {
-			jobFilter, _ = strconv.ParseUint(m.Value, 10, 64)
-			hasFilter = true
-		}
-	}
+	id, filtered := jobFilter(e)
 	var out []JobWindow
 	for _, w := range spec.Jobs {
-		if hasFilter && w.ID != jobFilter {
+		if filtered && w.ID != id {
 			continue
 		}
 		if w.contains(rank) {

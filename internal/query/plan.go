@@ -145,10 +145,13 @@ func (w JobWindow) contains(r int32) bool {
 	return false
 }
 
-// PlanSpec is the resolved query shipped down the tree: the canonical
-// expression (each rank re-parses it — expressions are small, records
-// are not), the absolute window, and the job windows the root resolved
-// once so every rank attributes identically.
+// PlanSpec is the resolved query: the canonical expression (each rank
+// re-parses it — expressions are small, records are not), the absolute
+// window, and the job windows the root resolved once so every rank
+// attributes identically. Plan and Fetch carry it whole. The pushdown
+// ships it down the reduce tree without Jobs and sends each rank only
+// its own windows, without their rank lists, as that rank's reduce
+// body: a rank decodes the windows it ran, not every job's.
 type PlanSpec struct {
 	Expr     string      `json:"expr"`
 	StartSec float64     `json:"start_sec"`
@@ -197,17 +200,17 @@ func readPlanned(src Source, lp localPlan, start, end float64) (LocalData, error
 	return out, nil
 }
 
-// foldSource plans one node's share of the window and folds it into the
-// rank's partial. Raw-ring and in-memory tier windows of a Scanner are
-// folded where they lie; everything else — durable reads, sources
-// without a Scanner — is copied out by readPlanned and folded by
-// FoldLocal. Both feed the same folder the same records in the same
-// order, so the partial does not depend on the path.
-func foldSource(src Source, e *Expr, spec PlanSpec, rank int32) (Partial, error) {
-	start, end := spec.StartSec, spec.EndSec
+// foldSource plans one node's share of the window [start, end] and
+// folds it into the rank's partial; jobs are the rank's own job windows.
+// Raw-ring and in-memory tier windows of a Scanner are folded where they
+// lie; everything else — durable reads, sources without a Scanner — is
+// copied out by readPlanned and folded from the copy. Both feed the
+// same folder the same records in the same order, so the partial does
+// not depend on the path.
+func foldSource(src Source, e *Expr, start, end float64, jobs []JobWindow, rank int32) (Partial, error) {
 	lp := selectLocal(src.QueryMeta(), start, end)
 	if sc, ok := src.(Scanner); ok && (lp.useRaw || lp.tier != nil && !lp.tier.Durable) {
-		f := newFolder(e, spec, rank, lp.source, lp.complete)
+		f := newFolder(e, jobs, rank, lp.source, lp.complete)
 		if lp.useRaw {
 			sc.ScanRaw(start, end, f.sample)
 			return f.partial(), nil
@@ -220,5 +223,5 @@ func foldSource(src Source, e *Expr, spec PlanSpec, rank int32) (Partial, error)
 	if err != nil {
 		return Partial{}, err
 	}
-	return FoldLocal(e, spec, rank, data), nil
+	return foldData(e, jobs, rank, data), nil
 }
