@@ -1,6 +1,7 @@
 package powermgr
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -78,11 +79,9 @@ type CapPoint struct {
 	PerNodeW float64 `json:"per_node_w"`
 }
 
-// jobCtl is the controller's per-job state. It lives as long as the
-// job's allocation: what a finished job contributed stays in the fleet
-// totals (the policy experiment reads those at the end of the run).
-type jobCtl struct {
-	capHist     []CapPoint
+// ctlState is the part of a job's controller state the control law
+// reads and writes.
+type ctlState struct {
 	violations  uint64
 	sustained   uint64
 	consecutive int
@@ -90,6 +89,20 @@ type jobCtl struct {
 	lastObsW    float64 // last observed per-node draw
 	lastTargetW float64
 	retunes     uint64
+}
+
+// jobCtl is the controller's per-job state. It lives as long as the
+// job's allocation: what a finished job contributed stays in the fleet
+// totals (the policy experiment reads those at the end of the run).
+type jobCtl struct {
+	ctlState
+	capHist []CapPoint
+}
+
+// ctlFleet holds the controller's fleet totals since the manager loaded.
+type ctlFleet struct {
+	rounds, retunes, violations, sustained uint64
+	reclaimedW, grantedW                   float64
 }
 
 // ControllerStatus is the controller section of power-manager.status:
@@ -216,115 +229,171 @@ func (m *Manager) onControllerInterval(simtime.Time) {
 	}
 }
 
-// controllerRound closes the loop over one round of observations:
-// violation accounting always, PI retuning in retune mode. The PI error
-// per job is (observed + headroom) − cap: positive for a throttled job
-// whose demand presses against its cap, negative for a job leaving
-// slack. Reclaim is demand-driven: cuts are applied only to the extent
-// grants need funding beyond the budget's free headroom — when the
-// fleet is under budget and nobody is throttled, caps stay put, so a
-// phased application is not stripped of watts it will want again at its
-// next high-phase entry (a cap sitting above a job's draw costs
-// nothing; re-granting it late costs real time). Anti-windup is
-// conditional integration — a round whose output saturates at the
-// hardware floor or the machine peak, or whose movement the reclaim and
-// budget scaling held back, does not accumulate integral in the
-// direction of the clamp, so the integrator never winds past what the
-// plant can express. New caps are quantized to what the per-GPU
-// derivation can realize and the total is repaired against the global
-// budget by scaling back this round's increases, so retuning never
-// grows fleet draw past the cluster cap.
+// controllerRound closes the loop over one round of observations: it
+// snapshots the live jobs under the lock, runs the control law
+// (ctlStep), then applies the new caps and counters and pushes the caps
+// that moved, in job-id order.
 func (m *Manager) controllerRound(obs map[uint64][]float64) {
 	m.mu.Lock()
+	jobs := m.snapshotLocked(obs)
+	next, fleet := ctlStep(jobs, m.limitsLocked(), m.fleet)
+	m.fleet = fleet
+	var moved []ctlJob
+	for i, j := range next {
+		m.jobCtlLocked(j.id).ctlState = j.st
+		if j.capW != jobs[i].capW {
+			moved = append(moved, j)
+		}
+	}
+	push := m.applyLocked(moved)
+	m.mu.Unlock()
+	m.pushAll(push)
+}
 
-	m.ctlRounds++
-	dt := m.ctl.Interval.Seconds()
-	maxPerNode := m.maxNodePower()
+// ctlJob is one live job as the control law sees it.
+type ctlJob struct {
+	id    uint64
+	nodes int
+	capW  float64 // per-node cap
+	obsW  float64 // mean observed per-node draw this round
+	obsN  int     // observations behind obsW; 0 = not observed
+	st    ctlState
+}
+
+// ctlLimits is everything besides the jobs that the control law reads.
+type ctlLimits struct {
+	dt                          float64 // seconds since the last round
+	floorW, peakW, quantumW     float64 // per-node cap envelope and grid
+	budgetW                     float64 // cluster bound; 0 = unconstrained
+	mode                        string
+	kp, ki, headroomW, maxStepW float64
+}
+
+// snapshotLocked lists every live allocation in job-id order, with this
+// round's observation mean (when obs has one) and its controller state.
+func (m *Manager) snapshotLocked(obs map[uint64][]float64) []ctlJob {
+	jobs := make([]ctlJob, 0, len(m.allocs))
+	for id, a := range m.allocs {
+		j := ctlJob{id: id, nodes: len(a.Ranks), capW: a.PerNodeW, st: m.jobCtlLocked(id).ctlState}
+		if samples := obs[id]; len(samples) > 0 {
+			for _, w := range samples {
+				j.obsW += w
+			}
+			j.obsW /= float64(len(samples))
+			j.obsN = len(samples)
+		}
+		jobs = append(jobs, j)
+	}
+	sort.Slice(jobs, func(i, k int) bool { return jobs[i].id < jobs[k].id })
+	return jobs
+}
+
+// limitsLocked gathers the control law's limits from the node model and
+// the configuration. The floor is the lowest per-node cap the enforcement
+// path can express: the idle reserve plus every GPU at its minimum cap.
+// Below it the per-GPU derivation clamps to GPUMinW anyway, so a lower
+// cap only manufactures violations the hardware cannot prevent. Per-node
+// cap changes below the per-GPU quantum cannot be expressed either, so
+// the quantum is the retune granularity.
+func (m *Manager) limitsLocked() ctlLimits {
 	cfg := m.node.Config()
-	floor := m.capFloorW()
-	// Per-node cap changes below the per-GPU quantum cannot be expressed
-	// by the enforcement path; use it as the retune granularity.
 	quantum := cfg.GPUCapQuantumW * float64(cfg.GPUs)
 	if quantum <= 0 {
 		quantum = 1
 	}
+	return ctlLimits{
+		dt:        m.ctl.Interval.Seconds(),
+		floorW:    idleReserveW + float64(cfg.GPUs)*cfg.GPUMinPowerW,
+		peakW:     m.maxNodePower(),
+		quantumW:  quantum,
+		budgetW:   m.cfg.GlobalCapW,
+		mode:      m.ctl.Mode,
+		kp:        m.ctl.Kp,
+		ki:        ctlKi,
+		headroomW: m.ctl.HeadroomW,
+		maxStepW:  m.ctl.MaxStepW,
+	}
+}
 
-	type retune struct {
-		alloc    *Allocation
-		newCap   float64
+// ctlStep is the control law: one round over the live jobs, in job-id
+// order. It is pure (no broker, lock or clock) and returns a fresh slice
+// with each job's new cap and state, plus the fleet totals after the
+// round.
+//
+// Violation accounting runs on every observed job; retune mode adds a PI
+// step on the error (observed + headroom) − cap: positive for a throttled
+// job whose demand presses against its cap, negative for a job leaving
+// slack. Reclaim is demand-driven: cuts are applied only to the extent
+// grants need funding beyond the budget's free headroom — when the fleet
+// is under budget and nobody is throttled, caps stay put, so a phased
+// application is not stripped of watts it will want again at its next
+// high-phase entry (a cap sitting above a job's draw costs nothing;
+// re-granting it late costs real time). Anti-windup is conditional
+// integration — a round whose output saturates at the hardware floor or
+// the machine peak, or whose movement the reclaim and budget scaling held
+// back, does not accumulate integral in the direction of the clamp, so
+// the integrator never winds past what the plant can express. New caps
+// are quantized down to the grid, and the total is repaired against the
+// budget by scaling back this round's increases, so retuning never grows
+// fleet caps past the cluster bound.
+func ctlStep(jobs []ctlJob, lim ctlLimits, fleet ctlFleet) ([]ctlJob, ctlFleet) {
+	fleet.rounds++
+	next := slices.Clone(jobs)
+
+	type move struct {
+		i        int     // index into next
+		newW     float64 // this round's cap, after scaling
 		e        float64 // PI error this round
 		proposed float64 // pre-scaling proposal, for anti-windup
 		sat      int     // -1 floor / +1 peak saturation
 	}
-	var retunes []retune
-
-	jobIDs := make([]uint64, 0, len(obs))
-	for id := range obs {
-		jobIDs = append(jobIDs, id)
-	}
-	sort.Slice(jobIDs, func(i, j int) bool { return jobIDs[i] < jobIDs[j] })
-
-	for _, id := range jobIDs {
-		samples := obs[id]
-		a, ok := m.allocs[id]
-		if !ok || len(samples) == 0 {
+	var moves []move
+	for i := range next {
+		j := &next[i]
+		if j.obsN == 0 {
 			continue
 		}
-		mean := 0.0
-		for _, w := range samples {
-			mean += w
-		}
-		mean /= float64(len(samples))
-
-		jc := m.jobCtlLocked(id)
-		jc.lastObsW = mean
+		j.st.lastObsW = j.obsW
 
 		// Violation accounting (observe and retune modes alike).
-		if a.PerNodeW > 0 && mean > a.PerNodeW+ctlMarginW {
-			jc.violations++
-			m.ctlViolations++
-			jc.consecutive++
-			if jc.consecutive == ctlSustainedRounds {
-				jc.sustained++
-				m.ctlSustained++
+		if j.capW > 0 && j.obsW > j.capW+ctlMarginW {
+			j.st.violations++
+			fleet.violations++
+			j.st.consecutive++
+			if j.st.consecutive == ctlSustainedRounds {
+				j.st.sustained++
+				fleet.sustained++
 			}
 		} else {
-			jc.consecutive = 0
+			j.st.consecutive = 0
 		}
 
-		if m.ctl.Mode != ControllerRetune || a.PerNodeW <= 0 {
+		if lim.mode != ControllerRetune || j.capW <= 0 {
 			continue
 		}
 
 		// PI step.
-		target := mean + m.ctl.HeadroomW
-		jc.lastTargetW = target
-		e := target - a.PerNodeW
-		delta := m.ctl.Kp*e + ctlKi*jc.integ
-		if delta > m.ctl.MaxStepW {
-			delta = m.ctl.MaxStepW
-		} else if delta < -m.ctl.MaxStepW {
-			delta = -m.ctl.MaxStepW
+		target := j.obsW + lim.headroomW
+		j.st.lastTargetW = target
+		e := target - j.capW
+		delta := lim.kp*e + lim.ki*j.st.integ
+		if delta > lim.maxStepW {
+			delta = lim.maxStepW
+		} else if delta < -lim.maxStepW {
+			delta = -lim.maxStepW
 		}
-		proposed := a.PerNodeW + delta
-
-		saturated := 0
-		if proposed < floor {
-			proposed = floor
-			saturated = -1
+		proposed := j.capW + delta
+		sat := 0
+		if proposed < lim.floorW {
+			proposed = lim.floorW
+			sat = -1
 		}
-		if proposed > maxPerNode {
-			proposed = maxPerNode
-			saturated = 1
+		if proposed > lim.peakW {
+			proposed = lim.peakW
+			sat = 1
 		}
-		// Quantize downward: rounding up could overshoot the budget.
-		if proposed > floor {
-			steps := (proposed - floor) / quantum
-			proposed = floor + float64(int(steps))*quantum
-		}
-		retunes = append(retunes, retune{
-			alloc: a, newCap: proposed, e: e, proposed: proposed, sat: saturated,
-		})
+		proposed = quantizeDown(proposed, lim)
+		moves = append(moves, move{i: i, newW: proposed, e: e, proposed: proposed, sat: sat})
 	}
 
 	// Demand-driven reclaim: cuts fund raises. Tally what this round's
@@ -332,10 +401,10 @@ func (m *Manager) controllerRound(obs map[uint64][]float64) {
 	// absorb every raise, drop the cuts entirely, otherwise scale every
 	// cut to just cover the shortfall. Without a global cap there is
 	// never a reason to reclaim.
-	if len(retunes) > 0 {
+	if len(moves) > 0 {
 		raiseW, cutW := 0.0, 0.0
-		for _, r := range retunes {
-			d := (r.newCap - r.alloc.PerNodeW) * float64(len(r.alloc.Ranks))
+		for _, mv := range moves {
+			d := (mv.newW - next[mv.i].capW) * float64(next[mv.i].nodes)
 			if d > 0 {
 				raiseW += d
 			} else {
@@ -343,12 +412,8 @@ func (m *Manager) controllerRound(obs map[uint64][]float64) {
 			}
 		}
 		needW := raiseW // no cap: nothing to fund, drop all cuts
-		if m.cfg.GlobalCapW > 0 {
-			total := 0.0
-			for _, a := range m.allocs {
-				total += a.PerNodeW * float64(len(a.Ranks))
-			}
-			needW = raiseW - (m.cfg.GlobalCapW - total)
+		if lim.budgetW > 0 {
+			needW = raiseW - (lim.budgetW - fleetW(jobs))
 		}
 		scale := 0.0
 		if needW > 0 && cutW > 0 {
@@ -357,106 +422,102 @@ func (m *Manager) controllerRound(obs map[uint64][]float64) {
 				scale = 1
 			}
 		}
-		for i, r := range retunes {
-			if r.newCap >= r.alloc.PerNodeW {
+		for k, mv := range moves {
+			old := next[mv.i].capW
+			if mv.newW >= old {
 				continue
 			}
-			cut := (r.alloc.PerNodeW - r.newCap) * scale
-			scaled := r.alloc.PerNodeW - cut
-			// Re-quantize downward after scaling (a cut proposal already
-			// honors the floor, so scaling it back cannot go below it).
-			if scaled > floor {
-				steps := (scaled - floor) / quantum
-				scaled = floor + float64(int(steps))*quantum
-			}
-			retunes[i].newCap = scaled
+			// A cut proposal already honors the floor, so scaling it back
+			// cannot go below it (beyond rounding).
+			moves[k].newW = quantizeDown(old-(old-mv.newW)*scale, lim)
 		}
 	}
 
 	// Budget repair: scale back this round's increases until the fleet
 	// fits the global cap. Decreases always stand — they only help.
-	if m.cfg.GlobalCapW > 0 && len(retunes) > 0 {
-		total := 0.0
-		for _, a := range m.allocs {
-			total += a.PerNodeW * float64(len(a.Ranks))
-		}
-		for _, r := range retunes {
-			total += (r.newCap - r.alloc.PerNodeW) * float64(len(r.alloc.Ranks))
-		}
-		if over := total - m.cfg.GlobalCapW; over > 0 {
-			raise := 0.0
-			for _, r := range retunes {
-				if d := r.newCap - r.alloc.PerNodeW; d > 0 {
-					raise += d * float64(len(r.alloc.Ranks))
-				}
+	if lim.budgetW > 0 && len(moves) > 0 {
+		total := fleetW(jobs)
+		raise := 0.0
+		for _, mv := range moves {
+			d := mv.newW - next[mv.i].capW
+			total += d * float64(next[mv.i].nodes)
+			if d > 0 {
+				raise += d * float64(next[mv.i].nodes)
 			}
-			if raise > 0 {
-				shrink := 1 - over/raise
-				if shrink < 0 {
-					shrink = 0
-				}
-				for i, r := range retunes {
-					if d := r.newCap - r.alloc.PerNodeW; d > 0 {
-						scaled := r.alloc.PerNodeW + d*shrink
-						// Re-quantize downward after scaling.
-						if scaled > floor {
-							steps := (scaled - floor) / quantum
-							scaled = floor + float64(int(steps))*quantum
-						}
-						retunes[i].newCap = scaled
-					}
+		}
+		if over := total - lim.budgetW; over > 0 && raise > 0 {
+			shrink := max(1-over/raise, 0)
+			for k, mv := range moves {
+				if d := mv.newW - next[mv.i].capW; d > 0 {
+					moves[k].newW = quantizeDown(next[mv.i].capW+d*shrink, lim)
 				}
 			}
 		}
 	}
 
-	// Conditional integration: accumulate only when the output was not
-	// clamped in the error's direction — by hardware saturation or by
-	// the reclaim/budget scaling passes holding the movement back.
-	for _, r := range retunes {
-		if (r.sat < 0 && r.e < 0) || (r.sat > 0 && r.e > 0) {
+	for _, mv := range moves {
+		j := &next[mv.i]
+		// Conditional integration: accumulate only when the output was
+		// not clamped in the error's direction — by hardware saturation
+		// or by the reclaim/budget scaling passes holding it back.
+		if !((mv.sat < 0 && mv.e < 0) || (mv.sat > 0 && mv.e > 0)) && mv.newW == mv.proposed {
+			j.st.integ += mv.e * lim.dt
+		}
+		if mv.newW == j.capW {
 			continue
 		}
-		if r.newCap != r.proposed {
-			continue
-		}
-		m.jobCtlLocked(r.alloc.JobID).integ += r.e * dt
-	}
-
-	// Apply: mutate allocations, record history, and re-push through
-	// the job-level manager's concurrent fan-out (anti-windup also
-	// bounds the push rate: unchanged caps are not re-pushed).
-	var push []*Allocation
-	for _, r := range retunes {
-		if r.newCap == r.alloc.PerNodeW {
-			continue
-		}
-		m.jobCtlLocked(r.alloc.JobID).retunes++
-		m.ctlRetunes++
-		if d := r.newCap - r.alloc.PerNodeW; d < 0 {
-			m.ctlReclaimedW += -d * float64(len(r.alloc.Ranks))
+		j.st.retunes++
+		fleet.retunes++
+		if d := mv.newW - j.capW; d < 0 {
+			fleet.reclaimedW += -d * float64(j.nodes)
 		} else {
-			m.ctlGrantedW += d * float64(len(r.alloc.Ranks))
+			fleet.grantedW += d * float64(j.nodes)
 		}
-		r.alloc.PerNodeW = r.newCap
-		m.recordCapLocked(r.alloc.JobID, r.newCap)
-		push = append(push, r.alloc)
+		j.capW = mv.newW
 	}
-	m.mu.Unlock()
-
-	sort.Slice(push, func(i, j int) bool { return push[i].JobID < push[j].JobID })
-	for _, a := range push {
-		m.pushAllocation(a)
-	}
+	return next, fleet
 }
 
-// capFloorW is the lowest per-node cap the enforcement path can express:
-// the idle reserve plus every GPU at its minimum cap. Below this the
-// per-GPU derivation clamps to GPUMinW anyway, so a lower cap only
-// manufactures violations the hardware cannot prevent.
-func (m *Manager) capFloorW() float64 {
-	cfg := m.node.Config()
-	return idleReserveW + float64(cfg.GPUs)*cfg.GPUMinPowerW
+// quantizeDown moves a cap above the floor down onto the grid floor +
+// k·quantum: rounding up could overshoot the budget.
+func quantizeDown(w float64, lim ctlLimits) float64 {
+	if w > lim.floorW {
+		steps := (w - lim.floorW) / lim.quantumW
+		w = lim.floorW + float64(int(steps))*lim.quantumW
+	}
+	return w
+}
+
+// fleetW is the fleet's total cap, summed in job-id order (the order
+// jobs come in) so that one seed gives the same float on every run: a
+// float sum in map order can differ in its last bit between runs, and
+// quantizeDown or the admission test can turn that bit into a different
+// cap.
+func fleetW(jobs []ctlJob) float64 {
+	total := 0.0
+	for _, j := range jobs {
+		total += j.capW * float64(j.nodes)
+	}
+	return total
+}
+
+// evenSplit is §III-B1's proportional split: every job gets the budget
+// over the live node count per node, at most the node peak — the peak
+// itself when unconstrained.
+func evenSplit(jobs []ctlJob, lim ctlLimits) []ctlJob {
+	nodes := 0
+	for _, j := range jobs {
+		nodes += j.nodes
+	}
+	share := lim.peakW
+	if lim.budgetW > 0 && nodes > 0 {
+		share = min(lim.budgetW/float64(nodes), lim.peakW)
+	}
+	out := slices.Clone(jobs)
+	for i := range out {
+		out[i].capW = share
+	}
+	return out
 }
 
 // controllerStatusLocked assembles the controller section of
@@ -464,12 +525,12 @@ func (m *Manager) capFloorW() float64 {
 func (m *Manager) controllerStatusLocked() ControllerStatus {
 	st := ControllerStatus{
 		Mode:            m.ctl.Mode,
-		Rounds:          m.ctlRounds,
-		Retunes:         m.ctlRetunes,
-		Violations:      m.ctlViolations,
-		Sustained:       m.ctlSustained,
-		ReclaimedWTotal: m.ctlReclaimedW,
-		GrantedWTotal:   m.ctlGrantedW,
+		Rounds:          m.fleet.rounds,
+		Retunes:         m.fleet.retunes,
+		Violations:      m.fleet.violations,
+		Sustained:       m.fleet.sustained,
+		ReclaimedWTotal: m.fleet.reclaimedW,
+		GrantedWTotal:   m.fleet.grantedW,
 	}
 	ids := make([]uint64, 0, len(m.jobCtls))
 	for id := range m.jobCtls {

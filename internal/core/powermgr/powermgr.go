@@ -156,14 +156,9 @@ type Manager struct {
 	// Closed-loop controller state (rank 0 only). jobCtls holds live jobs
 	// only: onJobFinish drops a job's entry with its allocation, and the
 	// fleet totals below keep what the finished job contributed.
-	ctl           ControllerConfig
-	jobCtls       map[uint64]*jobCtl
-	ctlRounds     uint64
-	ctlRetunes    uint64
-	ctlViolations uint64
-	ctlSustained  uint64
-	ctlReclaimedW float64
-	ctlGrantedW   float64
+	ctl     ControllerConfig
+	jobCtls map[uint64]*jobCtl
+	fleet   ctlFleet
 }
 
 // maxAckTimes bounds the per-rank acknowledgement timestamp history: the
@@ -276,52 +271,26 @@ func (m *Manager) onJobStart(ev *msg.Message) {
 		return
 	}
 	m.mu.Lock()
-	maxPerNode := m.maxNodePower()
-	alloc := &Allocation{
+	m.allocs[rec.ID] = &Allocation{
 		JobID:  rec.ID,
 		Ranks:  append([]int32(nil), rec.Ranks...),
 		Policy: m.resolveJobPolicy(rec.Spec.PowerPolicy),
 	}
-	if m.cfg.GlobalCapW <= 0 {
-		alloc.PerNodeW = maxPerNode
-		m.allocs[rec.ID] = alloc
-		m.recordCapLocked(rec.ID, alloc.PerNodeW)
-		m.mu.Unlock()
-		m.pushAllocation(alloc)
-		return
+	// The new job has no cap yet, so it adds nothing to the fleet sum.
+	jobs, lim := m.snapshotLocked(nil), m.limitsLocked()
+	rows := []ctlJob{{id: rec.ID, capW: lim.peakW}}
+	if !admitsAtPeak(jobs, lim, len(rec.Ranks)) {
+		rows = evenSplit(jobs, lim) // proportional redistribution
 	}
-	used := 0.0
-	totalNodes := len(rec.Ranks)
-	for _, a := range m.allocs {
-		used += a.PerNodeW * float64(len(a.Ranks))
-		totalNodes += len(a.Ranks)
-	}
-	avail := m.cfg.GlobalCapW - used
-	if avail >= maxPerNode*float64(len(rec.Ranks)) {
-		alloc.PerNodeW = maxPerNode
-		m.allocs[rec.ID] = alloc
-		m.recordCapLocked(rec.ID, alloc.PerNodeW)
-		m.mu.Unlock()
-		m.pushAllocation(alloc)
-		return
-	}
-	// Insufficient: proportional redistribution across all jobs.
-	perNode := m.cfg.GlobalCapW / float64(totalNodes)
-	if perNode > maxPerNode {
-		perNode = maxPerNode
-	}
-	m.allocs[rec.ID] = alloc
-	var push []*Allocation
-	for _, a := range m.allocs {
-		a.PerNodeW = perNode
-		m.recordCapLocked(a.JobID, perNode)
-		push = append(push, a)
-	}
+	push := m.applyLocked(rows)
 	m.mu.Unlock()
-	sort.Slice(push, func(i, j int) bool { return push[i].JobID < push[j].JobID })
-	for _, a := range push {
-		m.pushAllocation(a)
-	}
+	m.pushAll(push)
+}
+
+// admitsAtPeak reports whether the budget's free headroom covers a new
+// job of the given node count at the node peak (always, unconstrained).
+func admitsAtPeak(jobs []ctlJob, lim ctlLimits, nodes int) bool {
+	return lim.budgetW <= 0 || lim.budgetW-fleetW(jobs) >= lim.peakW*float64(nodes)
 }
 
 // onJobFinish reclaims a finished job's power and redistributes it.
@@ -341,38 +310,15 @@ func (m *Manager) onJobFinish(ev *msg.Message) {
 	}
 	delete(m.allocs, rec.ID)
 	delete(m.jobCtls, rec.ID)
-	released := a.Ranks
-	maxPerNode := m.maxNodePower()
-	totalNodes := 0
-	for _, al := range m.allocs {
-		totalNodes += len(al.Ranks)
-	}
-	var push []*Allocation
-	if totalNodes > 0 {
-		perNode := maxPerNode
-		if m.cfg.GlobalCapW > 0 {
-			perNode = m.cfg.GlobalCapW / float64(totalNodes)
-			if perNode > maxPerNode {
-				perNode = maxPerNode
-			}
-		}
-		for _, al := range m.allocs {
-			al.PerNodeW = perNode
-			m.recordCapLocked(al.JobID, perNode)
-			push = append(push, al)
-		}
-	}
+	push := m.applyLocked(evenSplit(m.snapshotLocked(nil), m.limitsLocked()))
 	m.mu.Unlock()
 
 	// Release caps on the finished job's nodes...
-	for _, rank := range released {
+	for _, rank := range a.Ranks {
 		m.sendNodeLimit(rank, rec.ID, 0, a.Policy)
 	}
 	// ...and reclaim: remaining jobs get the freed power (Fig 5).
-	sort.Slice(push, func(i, j int) bool { return push[i].JobID < push[j].JobID })
-	for _, al := range push {
-		m.pushAllocation(al)
-	}
+	m.pushAll(push)
 }
 
 // maxNodePower returns the per-node theoretical peak used for
@@ -386,15 +332,31 @@ func (m *Manager) maxNodePower() float64 {
 	return float64(cfg.Sockets)*300 + float64(cfg.GPUs)*cfg.GPUMaxPowerW
 }
 
-// pushAllocation is the job-level manager: equal split across the job's
-// nodes (the allocation is already per-node) pushed to each node-level
-// manager over the TBON. All node RPCs are issued before any response is
+// applyLocked sets each row's per-node cap on its job's allocation and
+// records it in the job's cap history. Rows come in job-id order, and so
+// do the returned allocations, which pushAll sends once m.mu is released.
+func (m *Manager) applyLocked(rows []ctlJob) []*Allocation {
+	push := make([]*Allocation, 0, len(rows))
+	for _, r := range rows {
+		a := m.allocs[r.id]
+		a.PerNodeW = r.capW
+		a.JobLimitW = a.PerNodeW * float64(len(a.Ranks))
+		m.recordCapLocked(r.id, r.capW)
+		push = append(push, a)
+	}
+	return push
+}
+
+// pushAll is the job-level manager: equal split across each job's nodes
+// (the allocation is already per-node) pushed to each node-level manager
+// over the TBON. All node RPCs are issued before any response is
 // awaited, so the push is one concurrent fan-out rather than N serial
 // round-trips; a slow or dead node only costs its own PushTimeout.
-func (m *Manager) pushAllocation(a *Allocation) {
-	a.JobLimitW = a.PerNodeW * float64(len(a.Ranks))
-	for _, rank := range a.Ranks {
-		m.sendNodeLimit(rank, a.JobID, a.PerNodeW, a.Policy)
+func (m *Manager) pushAll(push []*Allocation) {
+	for _, a := range push {
+		for _, rank := range a.Ranks {
+			m.sendNodeLimit(rank, a.JobID, a.PerNodeW, a.Policy)
+		}
 	}
 }
 
@@ -507,31 +469,9 @@ func (m *Manager) handleSetGlobal(req *broker.Request) {
 	}
 	m.mu.Lock()
 	m.cfg.GlobalCapW = body.Watts
-	maxPerNode := m.maxNodePower()
-	totalNodes := 0
-	for _, a := range m.allocs {
-		totalNodes += len(a.Ranks)
-	}
-	var push []*Allocation
-	if totalNodes > 0 {
-		perNode := maxPerNode
-		if body.Watts > 0 {
-			perNode = body.Watts / float64(totalNodes)
-			if perNode > maxPerNode {
-				perNode = maxPerNode
-			}
-		}
-		for _, a := range m.allocs {
-			a.PerNodeW = perNode
-			m.recordCapLocked(a.JobID, perNode)
-			push = append(push, a)
-		}
-	}
+	push := m.applyLocked(evenSplit(m.snapshotLocked(nil), m.limitsLocked()))
 	m.mu.Unlock()
-	sort.Slice(push, func(i, j int) bool { return push[i].JobID < push[j].JobID })
-	for _, a := range push {
-		m.pushAllocation(a)
-	}
+	m.pushAll(push)
 	_ = req.Respond(map[string]float64{"watts": body.Watts})
 }
 
