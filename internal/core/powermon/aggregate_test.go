@@ -8,6 +8,7 @@ import (
 	"fluxpower/internal/cluster"
 	"fluxpower/internal/flux/job"
 	"fluxpower/internal/flux/msg"
+	"fluxpower/internal/tsdb"
 	"fluxpower/internal/variorum"
 )
 
@@ -118,37 +119,69 @@ func TestAggregateQueryRunningJob(t *testing.T) {
 }
 
 func TestAggregateQueryUsesTierAfterEviction(t *testing.T) {
-	// 4-slot raw rings evict a ~25 s job's window, but a 10 s tier still
-	// covers it: the aggregate must come from the tier, complete, instead
+	// Raw rings evict a ~25 s job's window, but a longer memory still
+	// covers it: the aggregate must come from there, complete, instead
 	// of inheriting the raw ring's partial-data flag.
-	c := monitored(t, cluster.Lassen, 2, Config{
-		BufferSamples: 4,
-		Tiers:         []TierSpec{{Period: 10 * time.Second, Buckets: 100}},
-	})
-	id, _ := c.Submit(job.Spec{App: "laghos", Nodes: 2, SizeFactor: 2})
-	if _, idle := c.RunUntilIdle(2 * time.Minute); !idle {
-		t.Fatal("job never finished")
+	cases := []struct {
+		name    string
+		cfg     Config
+		after   time.Duration // run on after the job, to age it out of the ring
+		tierSec float64
+		// The mean node power the covering tier reports. Its buckets
+		// hold what the node drew across each whole period: the job's
+		// ~473 W, and idle ~400 W around it.
+		minW, maxW float64
+	}{
+		// 4-slot rings; a 10 s tier covers the window.
+		{"memory tier", Config{
+			BufferSamples: 4,
+			Tiers:         []TierSpec{{Period: 10 * time.Second, Buckets: 100}},
+		}, 0, 10, 433, 513},
+		// TestQueryDurableTier's node: a 60 s ring, no memory tiers, and
+		// a store whose 60 s tier log covers the window once the ring
+		// has lost it.
+		{"durable store", Config{
+			SampleInterval: 2 * time.Second,
+			CollectTimeout: 2 * time.Second,
+			BufferSamples:  30,
+			Tiers:          []TierSpec{},
+			MaxRawPoints:   50,
+			StoreDir:       t.TempDir(),
+			Store:          tsdb.Config{BlockSamples: 64, SyncEvery: 16},
+		}, 3 * time.Minute, 60, 400, 473},
 	}
-	client := NewClient(c.Inst.Root())
-	jp, err := client.Query(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jp.Complete() {
-		t.Fatal("raw path should have evicted the window")
-	}
-	ja, err := client.QueryAggregate(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ja.TierSec != 10 {
-		t.Fatalf("aggregate came from tier %vs, want 10", ja.TierSec)
-	}
-	if !ja.Complete || ja.Partial {
-		t.Fatalf("tier covers the window: %+v", ja)
-	}
-	if math.Abs(ja.AvgNodePowerW-473) > 40 {
-		t.Fatalf("tier-sourced avg node power %.1f, want ~473", ja.AvgNodePowerW)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := monitored(t, cluster.Lassen, 2, tc.cfg)
+			id, _ := c.Submit(job.Spec{App: "laghos", Nodes: 2, SizeFactor: 2})
+			if _, idle := c.RunUntilIdle(2 * time.Minute); !idle {
+				t.Fatal("job never finished")
+			}
+			c.RunFor(tc.after)
+			client := NewClient(c.Inst.Root())
+			jp, err := client.Query(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range jp.Nodes {
+				if n.Complete && n.Source != "tsdb" {
+					t.Fatalf("rank %d: the raw ring still holds the window", n.Rank)
+				}
+			}
+			ja, err := client.QueryAggregate(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ja.TierSec != tc.tierSec {
+				t.Fatalf("aggregate came from tier %vs, want %v", ja.TierSec, tc.tierSec)
+			}
+			if !ja.Complete || ja.Partial {
+				t.Fatalf("tier covers the window: %+v", ja)
+			}
+			if ja.AvgNodePowerW < tc.minW || ja.AvgNodePowerW > tc.maxW {
+				t.Fatalf("tier-sourced avg node power %.1f, want in [%v, %v]", ja.AvgNodePowerW, tc.minW, tc.maxW)
+			}
+		})
 	}
 }
 

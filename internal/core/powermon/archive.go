@@ -30,7 +30,9 @@ func DefaultTiers() []TierSpec {
 }
 
 // DefaultMaxRawPoints bounds how many raw samples a window may span
-// before the archive prefers a downsampled tier for aggregate queries.
+// before the query planner prefers a downsampled tier, for the monitor's
+// aggregate and the engine's pushdown alike. The collect, which must
+// return raw samples, is not bounded by it.
 const DefaultMaxRawPoints = 10_000
 
 // tier is one downsampling resolution: the shared fold plus a ring of
@@ -53,25 +55,18 @@ type tier struct {
 // archive is the node agent's storage: the raw full-rate ring plus the
 // downsampled tiers, all fed by the same Push.
 type archive struct {
-	raw          *ringbuf.Ring[variorum.NodePower]
-	tiers        []*tier
-	maxRawPoints int
-	rawPeriodSec float64
+	raw   *ringbuf.Ring[variorum.NodePower]
+	tiers []*tier
 	// rawLostTs is the raw ring's loss watermark: the timestamp of the
 	// newest sample no longer held (evicted, or never loaded at restore).
 	// -Inf means the ring still holds everything it was ever given.
 	rawLostTs float64
 }
 
-func newArchive(rawSamples int, sampleInterval time.Duration, specs []TierSpec, maxRawPoints int) *archive {
+func newArchive(rawSamples int, specs []TierSpec) *archive {
 	a := &archive{
-		raw:          ringbuf.New[variorum.NodePower](rawSamples),
-		maxRawPoints: maxRawPoints,
-		rawPeriodSec: sampleInterval.Seconds(),
-		rawLostTs:    math.Inf(-1),
-	}
-	if a.maxRawPoints <= 0 {
-		a.maxRawPoints = DefaultMaxRawPoints
+		raw:       ringbuf.New[variorum.NodePower](rawSamples),
+		rawLostTs: math.Inf(-1),
 	}
 	for _, s := range specs {
 		if s.Period <= 0 || s.Buckets <= 0 {
@@ -151,21 +146,6 @@ func (t *tier) buckets(start, end float64) []variorum.Bucket {
 	return out
 }
 
-// covers reports whether the tier's retained data reaches back to start:
-// true exactly when no lost bucket extended past start. A bucket whose
-// EndSec equals start counts as covered — the window owns [start, end]
-// and the lost bucket ended before it.
-func (t *tier) covers(start float64) bool {
-	return start >= t.lostEndSec
-}
-
-// rawCovers reports whether the raw ring still holds the window start:
-// true exactly when every lost sample predates start (strictly — a lost
-// sample at start itself was in-window).
-func (a *archive) rawCovers(start float64) bool {
-	return start > a.rawLostTs
-}
-
 // restore seeds a fresh archive from durable state after a crash:
 // samples is the store's full raw history oldest-first, lostBefore the
 // store's own loss watermark (GC), and tiers the persisted compaction
@@ -200,67 +180,6 @@ func (a *archive) restore(samples []variorum.NodePower, lostBefore float64, tier
 			}
 		}
 	}
-}
-
-// windowAgg is the node-local aggregate over one time window — the
-// contribution a node agent hands the in-network reduction.
-type windowAgg struct {
-	Power    variorum.PowerAgg
-	EnergyJ  float64
-	TierSec  float64 // resolution the data came from (0 = raw samples)
-	Complete bool
-}
-
-// aggregate summarizes the window from the best available resolution:
-// raw samples when the window is short enough and still fully buffered,
-// else the finest tier covering the window, else the coarsest tier that
-// has anything — flagged incomplete when even that lost the window's
-// beginning.
-func (a *archive) aggregate(start, end float64) windowAgg {
-	expectedRaw := (end - start) / a.rawPeriodSec
-	if a.rawCovers(start) && expectedRaw <= float64(a.maxRawPoints) {
-		return a.aggregateRaw(start, end)
-	}
-	for _, t := range a.tiers {
-		if t.covers(start) {
-			return t.aggregate(start, end)
-		}
-	}
-	// Nothing covers the window start; answer from the longest memory
-	// available and say the data is partial.
-	if len(a.tiers) > 0 {
-		coarsest := a.tiers[len(a.tiers)-1]
-		out := coarsest.aggregate(start, end)
-		out.Complete = false
-		return out
-	}
-	out := a.aggregateRaw(start, end)
-	out.Complete = a.rawCovers(start)
-	return out
-}
-
-func (a *archive) aggregateRaw(start, end float64) windowAgg {
-	out := windowAgg{Complete: a.rawCovers(start)}
-	first := true
-	var lastTS, lastW float64
-	a.raw.ScanRange(start, end, sampleTs, func(p *variorum.NodePower) {
-		w := p.TotalWatts()
-		if !first && p.Timestamp > lastTS {
-			out.EnergyJ += (p.Timestamp - lastTS) * (w + lastW) / 2
-		}
-		out.Power.Add(*p)
-		first, lastTS, lastW = false, p.Timestamp, w
-	})
-	return out
-}
-
-func (t *tier) aggregate(start, end float64) windowAgg {
-	out := windowAgg{TierSec: t.fold.PeriodSec, Complete: t.covers(start)}
-	t.scan(start, end, func(b *variorum.Bucket) {
-		out.Power.Merge(b.Power)
-		out.EnergyJ += b.EnergyJ
-	})
-	return out
 }
 
 // tierStats describes one tier for power-monitor.stats.

@@ -9,6 +9,18 @@ import (
 	"fluxpower/internal/variorum"
 )
 
+// archiveModule wraps a bare archive in a module sampling every 2 s with
+// the given raw-point cap (0 = the default): the planner's inputs.
+func archiveModule(a *archive, maxRawPoints int) *Module {
+	cfg := Config{SampleInterval: 2 * time.Second, MaxRawPoints: maxRawPoints}
+	return &Module{cfg: cfg.withDefaults(), arch: a}
+}
+
+// windowPartial is the monitor's window aggregate over a bare archive.
+func windowPartial(a *archive, start, end float64) AggPartial {
+	return archiveModule(a, 0).windowPartial(start, end)
+}
+
 // sample builds a minimal NodePower at ts seconds drawing w watts.
 func sample(ts, w float64) variorum.NodePower {
 	return variorum.NodePower{
@@ -21,7 +33,7 @@ func sample(ts, w float64) variorum.NodePower {
 }
 
 func TestTierBucketing(t *testing.T) {
-	a := newArchive(1000, 2*time.Second, []TierSpec{{Period: 10 * time.Second, Buckets: 100}}, 0)
+	a := newArchive(1000, []TierSpec{{Period: 10 * time.Second, Buckets: 100}})
 	// 2 s cadence for 35 s: buckets [0,10) [10,20) [20,30) finalized,
 	// [30,40) still accumulating.
 	for ts := 2.0; ts <= 34; ts += 2 {
@@ -54,38 +66,41 @@ func TestTierEnergyMatchesRaw(t *testing.T) {
 	// Varying power: total energy folded into tier buckets must equal the
 	// raw trapezoid over the same span, because each segment is charged to
 	// exactly one bucket.
-	a := newArchive(1000, 2*time.Second, []TierSpec{{Period: 10 * time.Second, Buckets: 100}}, 0)
+	a := newArchive(1000, []TierSpec{{Period: 10 * time.Second, Buckets: 100}})
 	for i := 0; i < 50; i++ {
 		ts := 2.0 * float64(i+1)
 		a.push(sample(ts, 100+50*math.Sin(float64(i))))
 	}
-	raw := a.aggregateRaw(0, 1000)
-	var tierTotal float64
-	tr := a.tiers[0]
-	for _, b := range tr.buckets(0, 1000) {
-		tierTotal += b.EnergyJ
+	raw := windowPartial(a, 0, 1000)
+	if raw.CoarsestTierSec != 0 {
+		t.Fatalf("short covered window answered from tier %vs", raw.CoarsestTierSec)
 	}
-	if math.Abs(raw.EnergyJ-tierTotal) > 1e-6 {
-		t.Fatalf("tier energy %v != raw energy %v", tierTotal, raw.EnergyJ)
+	var tierTotal float64
+	var ta variorum.PowerAgg
+	for _, b := range a.tiers[0].buckets(0, 1000) {
+		tierTotal += b.EnergyJ
+		ta.Merge(b.Power)
+	}
+	if math.Abs(raw.EnergySumJ-tierTotal) > 1e-6 {
+		t.Fatalf("tier energy %v != raw energy %v", tierTotal, raw.EnergySumJ)
 	}
 	// And the merged per-component stats must match the raw aggregate.
-	ta := tr.aggregate(0, 1000)
-	if ta.Power.Node.Count != raw.Power.Node.Count ||
-		math.Abs(ta.Power.Node.Sum-raw.Power.Node.Sum) > 1e-9 ||
-		ta.Power.Node.Max != raw.Power.Node.Max ||
-		ta.Power.Node.Min != raw.Power.Node.Min {
-		t.Fatalf("tier agg %+v != raw agg %+v", ta.Power.Node, raw.Power.Node)
+	if ta.Node.Count != raw.Power.Node.Count ||
+		math.Abs(ta.Node.Sum-raw.Power.Node.Sum) > 1e-9 ||
+		ta.Node.Max != raw.Power.Node.Max ||
+		ta.Node.Min != raw.Power.Node.Min {
+		t.Fatalf("tier agg %+v != raw agg %+v", ta.Node, raw.Power.Node)
 	}
 }
 
 func TestAggregateSelectsRawForShortCoveredWindow(t *testing.T) {
-	a := newArchive(1000, 2*time.Second, DefaultTiers(), 100)
+	a := newArchive(1000, DefaultTiers())
 	for ts := 2.0; ts <= 60; ts += 2 {
 		a.push(sample(ts, 200))
 	}
-	wa := a.aggregate(10, 30)
-	if wa.TierSec != 0 {
-		t.Fatalf("short covered window answered from tier %vs", wa.TierSec)
+	wa := archiveModule(a, 100).windowPartial(10, 30)
+	if wa.CoarsestTierSec != 0 {
+		t.Fatalf("short covered window answered from tier %vs", wa.CoarsestTierSec)
 	}
 	if !wa.Complete {
 		t.Fatal("covered window reported incomplete")
@@ -99,13 +114,13 @@ func TestAggregateSelectsRawForShortCoveredWindow(t *testing.T) {
 func TestAggregateFallsBackToTierWhenWindowTooLong(t *testing.T) {
 	// Raw still covers the window, but it would span more than
 	// maxRawPoints samples — the archive must answer from a tier.
-	a := newArchive(1000, 2*time.Second, []TierSpec{{Period: 10 * time.Second, Buckets: 100}}, 5)
+	a := newArchive(1000, []TierSpec{{Period: 10 * time.Second, Buckets: 100}})
 	for ts := 2.0; ts <= 100; ts += 2 {
 		a.push(sample(ts, 200))
 	}
-	wa := a.aggregate(0, 100)
-	if wa.TierSec != 10 {
-		t.Fatalf("long window answered from tier %vs, want 10", wa.TierSec)
+	wa := archiveModule(a, 5).windowPartial(0, 100)
+	if wa.CoarsestTierSec != 10 {
+		t.Fatalf("long window answered from tier %vs, want 10", wa.CoarsestTierSec)
 	}
 	if !wa.Complete {
 		t.Fatal("tier covers the window; should be complete")
@@ -117,16 +132,16 @@ func TestAggregateFallsBackToTierWhenWindowTooLong(t *testing.T) {
 
 func TestAggregateFallsBackToTierAfterRawEviction(t *testing.T) {
 	// A 5-slot raw ring forgets the window start; the tier remembers.
-	a := newArchive(5, 2*time.Second, []TierSpec{{Period: 10 * time.Second, Buckets: 100}}, 0)
+	a := newArchive(5, []TierSpec{{Period: 10 * time.Second, Buckets: 100}})
 	for ts := 2.0; ts <= 60; ts += 2 {
 		a.push(sample(ts, 200))
 	}
-	if a.rawCovers(10) {
+	if rawCovers(a, 10) {
 		t.Fatal("raw ring should have evicted ts=10")
 	}
-	wa := a.aggregate(10, 60)
-	if wa.TierSec != 10 {
-		t.Fatalf("evicted raw window answered from tier %vs, want 10", wa.TierSec)
+	wa := windowPartial(a, 10, 60)
+	if wa.CoarsestTierSec != 10 {
+		t.Fatalf("evicted raw window answered from tier %vs, want 10", wa.CoarsestTierSec)
 	}
 	if !wa.Complete {
 		t.Fatal("tier still covers the window; should be complete")
@@ -136,11 +151,11 @@ func TestAggregateFallsBackToTierAfterRawEviction(t *testing.T) {
 func TestAggregateIncompleteWhenNothingCovers(t *testing.T) {
 	// Tiny raw ring AND tiny tier: both forgot the window start. The
 	// archive answers from the coarsest tier but flags the result.
-	a := newArchive(5, 2*time.Second, []TierSpec{{Period: 4 * time.Second, Buckets: 3}}, 0)
+	a := newArchive(5, []TierSpec{{Period: 4 * time.Second, Buckets: 3}})
 	for ts := 2.0; ts <= 100; ts += 2 {
 		a.push(sample(ts, 200))
 	}
-	wa := a.aggregate(0, 100)
+	wa := windowPartial(a, 0, 100)
 	if wa.Complete {
 		t.Fatal("window predating all retention reported complete")
 	}
@@ -152,13 +167,13 @@ func TestAggregateIncompleteWhenNothingCovers(t *testing.T) {
 func TestAggregateNoTiersFallsBackToRaw(t *testing.T) {
 	// Explicit empty (non-nil) tier list disables tiering; the raw ring is
 	// all there is, and eviction shows up as Complete=false.
-	a := newArchive(5, 2*time.Second, []TierSpec{}, 0)
+	a := newArchive(5, []TierSpec{})
 	for ts := 2.0; ts <= 40; ts += 2 {
 		a.push(sample(ts, 200))
 	}
-	wa := a.aggregate(0, 40)
-	if wa.TierSec != 0 {
-		t.Fatalf("no tiers configured but TierSec=%v", wa.TierSec)
+	wa := windowPartial(a, 0, 40)
+	if wa.CoarsestTierSec != 0 {
+		t.Fatalf("no tiers configured but TierSec=%v", wa.CoarsestTierSec)
 	}
 	if wa.Complete {
 		t.Fatal("evicted raw window reported complete")
@@ -199,15 +214,15 @@ func TestDefaultArchiveFootprint(t *testing.T) {
 func TestTierRetentionEviction(t *testing.T) {
 	// 3 buckets of 4 s: retention 12 s. After 100 s the tier no longer
 	// covers early starts but still covers recent ones.
-	a := newArchive(1000, 2*time.Second, []TierSpec{{Period: 4 * time.Second, Buckets: 3}}, 0)
+	a := newArchive(1000, []TierSpec{{Period: 4 * time.Second, Buckets: 3}})
 	for ts := 2.0; ts <= 100; ts += 2 {
 		a.push(sample(ts, 100))
 	}
 	tr := a.tiers[0]
-	if tr.covers(10) {
+	if tierCovers(t, a, 10) {
 		t.Fatal("3x4s tier claims to cover ts=10 after 100s")
 	}
-	if !tr.covers(95) {
+	if !tierCovers(t, a, 95) {
 		t.Fatal("tier should cover the recent past")
 	}
 	if tr.ring.Len() != 3 {

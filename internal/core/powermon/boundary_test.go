@@ -5,8 +5,28 @@ import (
 	"testing"
 	"time"
 
+	"fluxpower/internal/query"
 	"fluxpower/internal/variorum"
 )
+
+// rawCovers is the planner's verdict on whether the archive's raw ring
+// still holds a window starting at start: the completeness of a collect
+// on a node without a store.
+func rawCovers(a *archive, start float64) bool {
+	return query.ReadRaw(archiveModule(a, 0), start, start).Complete
+}
+
+// tierCovers is the planner's verdict on whether the archive's only tier
+// reaches back to start: the completeness of an aggregate over a window
+// too long for the raw ring, which the tier answers either way.
+func tierCovers(t *testing.T, a *archive, start float64) bool {
+	t.Helper()
+	p := windowPartial(a, start, start+1e9)
+	if p.CoarsestTierSec != a.tiers[0].fold.PeriodSec {
+		t.Fatalf("window from %v answered from tier %vs, want the %vs tier", start, p.CoarsestTierSec, a.tiers[0].fold.PeriodSec)
+	}
+	return p.Complete
+}
 
 // TestCoverageEvictionBoundary pins archive coverage at the exact
 // eviction boundary. Coverage is tracked with explicit loss watermarks
@@ -35,11 +55,11 @@ func TestCoverageEvictionBoundary(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run("raw/"+tc.name, func(t *testing.T) {
-			a := newArchive(tc.cap, 2*time.Second, nil, 0)
+			a := newArchive(tc.cap, nil)
 			for _, ts := range tc.times {
 				a.push(sample(ts, 100))
 			}
-			if got := a.rawCovers(tc.start); got != tc.want {
+			if got := rawCovers(a, tc.start); got != tc.want {
 				t.Fatalf("rawCovers(%v) = %v, want %v (lost watermark %v)",
 					tc.start, got, tc.want, a.rawLostTs)
 			}
@@ -64,12 +84,12 @@ func TestCoverageEvictionBoundary(t *testing.T) {
 	}
 	for _, tc := range tierCases {
 		t.Run("tier/"+tc.name, func(t *testing.T) {
-			a := newArchive(100, 2*time.Second, []TierSpec{{Period: time.Minute, Buckets: tc.buckets}}, 0)
+			a := newArchive(100, []TierSpec{{Period: time.Minute, Buckets: tc.buckets}})
 			for _, ts := range tc.times {
 				a.push(sample(ts, 100))
 			}
 			tr := a.tiers[0]
-			if got := tr.covers(tc.start); got != tc.want {
+			if got := tierCovers(t, a, tc.start); got != tc.want {
 				t.Fatalf("covers(%v) = %v, want %v (lost watermark %v)",
 					tc.start, got, tc.want, tr.lostEndSec)
 			}
@@ -81,7 +101,7 @@ func TestCoverageEvictionBoundary(t *testing.T) {
 // inference got wrong: a ring seeded with partial history has
 // Evicted() == 0, yet must not claim coverage of the missing past.
 func TestCoverageAfterRestore(t *testing.T) {
-	a := newArchive(3, 2*time.Second, []TierSpec{{Period: time.Minute, Buckets: 2}}, 0)
+	a := newArchive(3, []TierSpec{{Period: time.Minute, Buckets: 2}})
 	var samples []variorum.NodePower
 	for i := 0; i < 6; i++ {
 		samples = append(samples, sample(100+float64(i)*2, 100)) // ts 100..110
@@ -93,31 +113,31 @@ func TestCoverageAfterRestore(t *testing.T) {
 	}
 	// Samples at 100, 102, 104 were never loaded (cap 3 keeps 106..110):
 	// claiming coverage of them would be a lie.
-	if a.rawCovers(100) || a.rawCovers(104) {
+	if rawCovers(a, 100) || rawCovers(a, 104) {
 		t.Fatalf("rawCovers claims the unloaded past (watermark %v)", a.rawLostTs)
 	}
-	if !a.rawCovers(106) || !a.rawCovers(200) {
+	if !rawCovers(a, 106) || !rawCovers(a, 200) {
 		t.Fatalf("rawCovers denies the loaded range (watermark %v)", a.rawLostTs)
 	}
 
 	// The store's own GC loss watermark must be adopted too — here the
 	// ring has room for everything, so Evicted() == 0 and the old
 	// inference would have claimed full coverage despite the GC'd past.
-	b := newArchive(100, 2*time.Second, nil, 0)
+	b := newArchive(100, nil)
 	b.restore(samples, 95, nil)
 	if b.raw.Evicted() != 0 {
 		t.Fatalf("Evicted = %d, want 0", b.raw.Evicted())
 	}
-	if b.rawCovers(90) || b.rawCovers(95) {
+	if rawCovers(b, 90) || rawCovers(b, 95) {
 		t.Fatal("rawCovers ignores the store's GC watermark")
 	}
-	if !b.rawCovers(96) {
+	if !rawCovers(b, 96) {
 		t.Fatal("rawCovers over-extends the store's GC watermark")
 	}
 
 	// Adopted tier buckets beyond ring capacity advance the tier
 	// watermark exactly like live eviction.
-	c := newArchive(100, 2*time.Second, []TierSpec{{Period: time.Minute, Buckets: 2}}, 0)
+	c := newArchive(100, []TierSpec{{Period: time.Minute, Buckets: 2}})
 	buckets := []variorum.Bucket{
 		{StartSec: 0, EndSec: 60},
 		{StartSec: 60, EndSec: 120},
@@ -125,10 +145,10 @@ func TestCoverageAfterRestore(t *testing.T) {
 	}
 	c.restore(nil, math.Inf(-1), map[float64][]variorum.Bucket{60: buckets})
 	tr := c.tiers[0]
-	if tr.covers(59) {
+	if tierCovers(t, c, 59) {
 		t.Fatalf("tier covers evicted adopted bucket (watermark %v)", tr.lostEndSec)
 	}
-	if !tr.covers(60) {
+	if !tierCovers(t, c, 60) {
 		t.Fatalf("tier denies surviving adopted range (watermark %v)", tr.lostEndSec)
 	}
 }
@@ -137,7 +157,7 @@ func TestCoverageAfterRestore(t *testing.T) {
 // only past its last adopted bucket, so a bucket is never fed twice.
 func TestRestoreTierReplayNoDoubleCount(t *testing.T) {
 	// Live reference: samples at 2 s cadence through three 60 s buckets.
-	live := newArchive(1000, 2*time.Second, []TierSpec{{Period: time.Minute, Buckets: 10}}, 0)
+	live := newArchive(1000, []TierSpec{{Period: time.Minute, Buckets: 10}})
 	var samples []variorum.NodePower
 	for ts := 2.0; ts < 180; ts += 2 {
 		p := sample(ts, 100+ts)
@@ -147,7 +167,7 @@ func TestRestoreTierReplayNoDoubleCount(t *testing.T) {
 
 	// Recovered: the first bucket arrives persisted, the rest replay raw.
 	liveBuckets := ringBuckets(live.tiers[0])
-	rec := newArchive(1000, 2*time.Second, []TierSpec{{Period: time.Minute, Buckets: 10}}, 0)
+	rec := newArchive(1000, []TierSpec{{Period: time.Minute, Buckets: 10}})
 	rec.restore(samples, math.Inf(-1), map[float64][]variorum.Bucket{60: {liveBuckets[0]}})
 
 	recBuckets := ringBuckets(rec.tiers[0])

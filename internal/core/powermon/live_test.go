@@ -300,3 +300,85 @@ func TestLiveJobPowerQueryDeadNode(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveAggregateCollectScan reads one running job's window over live
+// TCP while every node agent samples on its own wall-clock timer. As
+// the window grows, the aggregate moves from an in-place ring scan to
+// an in-place tier scan, and the collect from a ring copy to the
+// durable store. Under -race it is the check that each planned read
+// runs under the monitor lock.
+func TestLiveAggregateCollectScan(t *testing.T) {
+	const n = 3
+	nodes := liveNodes(t, n)
+	li, err := broker.NewLiveInstance(broker.InstanceOptions{
+		Size:  n,
+		Local: func(rank int32) any { return nodes[rank] },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer li.Close()
+	dir := t.TempDir()
+	if err := li.LoadModuleAll(func(rank int32) broker.Module {
+		return New(Config{
+			SampleInterval: 5 * time.Millisecond,
+			BufferSamples:  40,
+			MaxRawPoints:   50,
+			Tiers:          []TierSpec{{Period: 50 * time.Millisecond, Buckets: 100}},
+			StoreDir:       dir,
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := li.Root().LoadModule(job.NewManager([]int32{0, 1, 2})); err != nil {
+		t.Fatal(err)
+	}
+	jobs := job.NewClient(li.Root())
+	id, err := jobs.Submit(job.Spec{App: "bench", Nodes: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		rec, err := jobs.Info(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Ranks) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %d never started", id)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	client := NewClient(li.Root())
+	var tiered, stored bool
+	// ~200 ms of samples outgrow the ring and 250 ms the raw-point cap;
+	// keep reading until both reads have switched.
+	for deadline := time.Now().Add(5 * time.Second); !tiered || !stored; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the window never outgrew the ring: tier read %v, store read %v", tiered, stored)
+		}
+		ja, err := client.QueryAggregate(id)
+		if err != nil {
+			t.Fatalf("aggregate: %v", err)
+		}
+		if ja.Partial || !ja.Complete || ja.NodesReporting != n {
+			t.Fatalf("aggregate of a healthy instance: %+v", ja)
+		}
+		if ja.NodesWithData == n && (ja.AvgNodePowerW < 1270 || ja.AvgNodePowerW > 1290) {
+			t.Fatalf("aggregate avg node power %v W, want ~1280", ja.AvgNodePowerW)
+		}
+		tiered = tiered || ja.TierSec > 0
+		jp, err := client.Query(id)
+		if err != nil {
+			t.Fatalf("collect: %v", err)
+		}
+		if len(jp.Nodes) != n || !jp.Complete() {
+			t.Fatalf("collect of a healthy instance: %d nodes, complete=%v", len(jp.Nodes), jp.Complete())
+		}
+		for _, ns := range jp.Nodes {
+			stored = stored || ns.Source == "tsdb"
+		}
+	}
+}

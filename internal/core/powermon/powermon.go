@@ -25,10 +25,19 @@
 // TBON rank (internal/flux/reduce), so only one aggregate-sized payload
 // crosses the root link no matter how many nodes the job spans. Raw-CSV
 // mode remains for full-fidelity extraction.
+//
+// Which storage answers a node's window — the raw ring, an archive
+// tier, the durable store's blocks or tier logs — is decided in one
+// place, the query engine's planner (internal/query). The collect asks
+// it for raw samples, the aggregate for the cheapest resolution that
+// covers the window, the same choice the engine's pushdown makes. A
+// store that fails to read degrades each of them to the ring, flagged
+// incomplete.
 package powermon
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -38,6 +47,7 @@ import (
 	"fluxpower/internal/flux/msg"
 	"fluxpower/internal/flux/reduce"
 	"fluxpower/internal/hw"
+	"fluxpower/internal/query"
 	"fluxpower/internal/simtime"
 	"fluxpower/internal/tsdb"
 	"fluxpower/internal/variorum"
@@ -84,9 +94,9 @@ type Config struct {
 	// Tiers configures the downsampled archive; nil selects DefaultTiers.
 	// An explicit empty, non-nil slice disables tiering.
 	Tiers []TierSpec
-	// MaxRawPoints bounds how many raw samples an aggregate-query window
-	// may span before the node agent answers from a downsampled tier
-	// (default DefaultMaxRawPoints).
+	// MaxRawPoints bounds how many raw samples an aggregate or query
+	// window may span before the planner answers it from a downsampled
+	// tier (default DefaultMaxRawPoints).
 	MaxRawPoints int
 	// PublishSamples makes every node-agent publish each sensor read as a
 	// SampleEvent for live subscribers (SSE streaming). Default off; see
@@ -96,7 +106,7 @@ type Config struct {
 	// StoreDir, when set, gives every node-agent a durable tsdb store
 	// under StoreDir/rank-<rank>: samples spill to a crash-safe WAL plus
 	// compressed blocks, the archive transparently recovers from it on
-	// restart, and collects older than the raw ring answer from it.
+	// restart, and windows older than the raw ring answer from it.
 	// Empty (the default) keeps the module memory-only, as in the paper.
 	StoreDir string
 	// Store tunes the tsdb store (zero value = tsdb defaults).
@@ -164,7 +174,7 @@ func New(cfg Config) *Module {
 	cfg = cfg.withDefaults()
 	return &Module{
 		cfg:  cfg,
-		arch: newArchive(cfg.BufferSamples, cfg.SampleInterval, cfg.Tiers, cfg.MaxRawPoints),
+		arch: newArchive(cfg.BufferSamples, cfg.Tiers),
 	}
 }
 
@@ -427,57 +437,47 @@ type NodeSamples struct {
 	Samples []variorum.NodePower `json:"samples"`
 }
 
+// window resolves a collect or aggregate request to the absolute window
+// [start, end]; an end of 0 means now. NaN compares false everywhere, so
+// non-finite bounds are refused before any comparison, as is a window
+// that ends before it starts.
+func (m *Module) window(req collectRequest) (start, end float64, err error) {
+	if !query.IsFinite(req.StartSec) || !query.IsFinite(req.EndSec) {
+		return 0, 0, errors.New("powermon: start/end must be finite")
+	}
+	end = req.EndSec
+	if end == 0 {
+		end = m.ctx.Clock().Now().Seconds()
+	}
+	if end < req.StartSec {
+		return 0, 0, errors.New("powermon: window ends before it starts")
+	}
+	return req.StartSec, end, nil
+}
+
+// handleCollect answers a node's raw samples in a window from the
+// resolution query.ReadRaw plans: the ring, the durable blocks once the
+// ring has lost the window start, the ring again, incomplete, when the
+// store cannot answer.
 func (m *Module) handleCollect(req *broker.Request) {
 	var body collectRequest
 	if err := req.Msg.Unmarshal(&body); err != nil {
 		_ = req.Fail(msg.EINVAL, err.Error())
 		return
 	}
-	end := body.EndSec
-	if end == 0 {
-		end = m.ctx.Clock().Now().Seconds()
-	}
-	if end < body.StartSec {
-		_ = req.Fail(msg.EINVAL, "powermon: window ends before it starts")
+	start, end, err := m.window(body)
+	if err != nil {
+		_ = req.Fail(msg.EINVAL, err.Error())
 		return
 	}
-	out := NodeSamples{Rank: m.ctx.Rank(), Complete: true}
+	data := query.ReadRaw(m, start, end)
+	out := NodeSamples{Rank: m.ctx.Rank(), Complete: data.Complete, Samples: data.Samples}
+	if data.Source == query.SourceStoreRaw {
+		out.Source = "tsdb"
+	}
 	if node, ok := m.ctx.Local().(*hw.Node); ok {
 		out.Hostname = node.Name()
 	}
-	m.mu.Lock()
-	covers := m.arch.rawCovers(body.StartSec)
-	if covers || m.store == nil {
-		// Sample times are monotonic, so the window is a binary search plus
-		// a copy of the matching run — not a scan of the whole 100k ring.
-		out.Samples = m.arch.raw.SelectRange(body.StartSec, end, sampleTs)
-		// Completeness (§III-A): if the ring has wrapped and its oldest
-		// surviving sample post-dates the window start, part of the job's
-		// data has been flushed out.
-		out.Complete = covers
-		m.mu.Unlock()
-		_ = req.Respond(out)
-		return
-	}
-	// The window start has aged out of the ring but the durable store
-	// remembers further back: answer from it (its read path includes the
-	// un-sealed head, so this is a superset of the ring).
-	st := m.store
-	m.mu.Unlock()
-	samples, err := st.SelectRange(body.StartSec, end)
-	if err != nil {
-		// Store unusable (simulated crash): fall back to the ring and be
-		// honest about the missing past.
-		m.mu.Lock()
-		out.Samples = m.arch.raw.SelectRange(body.StartSec, end, sampleTs)
-		m.mu.Unlock()
-		out.Complete = false
-		_ = req.Respond(out)
-		return
-	}
-	out.Samples = samples
-	out.Source = "tsdb"
-	out.Complete = st.Covers(body.StartSec)
 	_ = req.Respond(out)
 }
 
@@ -533,8 +533,7 @@ type AggPartial struct {
 	CoarsestTierSec float64 `json:"coarsest_tier_sec,omitempty"`
 }
 
-// localWindowAgg is the reduction's Local: this node's window aggregate
-// from the best archive resolution.
+// localWindowAgg is the reduction's Local: this node's window aggregate.
 func (m *Module) localWindowAgg(body, _ json.RawMessage) (AggPartial, error) {
 	var req collectRequest
 	if len(body) > 0 {
@@ -542,33 +541,59 @@ func (m *Module) localWindowAgg(body, _ json.RawMessage) (AggPartial, error) {
 			return AggPartial{}, err
 		}
 	}
-	end := req.EndSec
-	if end == 0 {
-		end = m.ctx.Clock().Now().Seconds()
+	start, end, err := m.window(req)
+	if err != nil {
+		return AggPartial{}, err
 	}
-	if end < req.StartSec {
-		return AggPartial{}, fmt.Errorf("powermon: window ends before it starts")
-	}
-	m.mu.Lock()
-	wa := m.arch.aggregate(req.StartSec, end)
-	m.mu.Unlock()
-	out := AggPartial{Complete: wa.Complete, CoarsestTierSec: wa.TierSec}
-	if wa.Power.Node.Count == 0 {
+	return m.windowPartial(start, end), nil
+}
+
+// windowPartial aggregates [start, end] from the resolution the query
+// planner picks for it — the same choice, and the same degraded
+// fallback, as the pushdown's.
+func (m *Module) windowPartial(start, end float64) AggPartial {
+	var w windowFold
+	_, tierSec, complete := query.Visit(m, start, end, w.sample, w.bucket)
+	out := AggPartial{Complete: complete, CoarsestTierSec: tierSec}
+	if w.power.Node.Count == 0 {
 		// No samples in-window: still a (complete or not) contribution,
 		// just an empty one.
-		return out, nil
+		return out
 	}
 	out.Nodes = 1
-	out.Power = wa.Power
-	out.NodeMeanSumW = wa.Power.Node.Mean()
-	out.CPUMeanSumW = wa.Power.CPU.Mean()
-	out.GPUMeanSumW = wa.Power.GPU.Mean()
-	if wa.Power.Mem.Count > 0 {
-		out.MemMeanSumW = wa.Power.Mem.Mean()
+	out.Power = w.power
+	out.NodeMeanSumW = w.power.Node.Mean()
+	out.CPUMeanSumW = w.power.CPU.Mean()
+	out.GPUMeanSumW = w.power.GPU.Mean()
+	if w.power.Mem.Count > 0 {
+		out.MemMeanSumW = w.power.Mem.Mean()
 		out.MemNodes = 1
 	}
-	out.EnergySumJ = wa.EnergyJ
-	return out, nil
+	out.EnergySumJ = w.energyJ
+	return out
+}
+
+// windowFold sums a window's records: raw samples into per-component
+// statistics and trapezoid energy, or tier buckets, which carry both.
+type windowFold struct {
+	power   variorum.PowerAgg
+	energyJ float64
+	lastTs  float64
+	lastW   float64
+}
+
+func (w *windowFold) sample(p *variorum.NodePower) {
+	watts := p.TotalWatts()
+	if w.power.Node.Count > 0 && p.Timestamp > w.lastTs {
+		w.energyJ += (p.Timestamp - w.lastTs) * (watts + w.lastW) / 2
+	}
+	w.power.Add(*p)
+	w.lastTs, w.lastW = p.Timestamp, watts
+}
+
+func (w *windowFold) bucket(b *variorum.Bucket) {
+	w.power.Merge(b.Power)
+	w.energyJ += b.EnergyJ
 }
 
 // mergeAggPartials is the reduction's Merge.

@@ -237,6 +237,19 @@ func TestCollectWindowValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("inverted window accepted")
 	}
+	// JSON cannot carry a non-finite bound, but the collect and the
+	// aggregate's Local share the window rule that refuses one.
+	m := New(Config{})
+	for _, w := range []collectRequest{
+		{StartSec: math.NaN(), EndSec: 5},
+		{StartSec: 0, EndSec: math.NaN()},
+		{StartSec: math.Inf(-1), EndSec: 5},
+		{StartSec: 0, EndSec: math.Inf(1)},
+	} {
+		if _, _, err := m.window(w); err == nil {
+			t.Fatalf("window %+v accepted", w)
+		}
+	}
 }
 
 func TestModuleRequiresHardware(t *testing.T) {

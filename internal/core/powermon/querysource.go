@@ -1,8 +1,9 @@
 package powermon
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"fluxpower/internal/query"
 	"fluxpower/internal/variorum"
@@ -15,6 +16,8 @@ import (
 // imports query, not the reverse) to keep the dependency acyclic.
 // The module also implements query.Scanner, so the engine folds raw and
 // in-memory tier windows where they lie instead of copying them out.
+// The monitor's own collect and aggregate read through the same planner
+// (query.ReadRaw, query.Visit), so no window is resolved twice.
 
 var (
 	_ query.Source  = (*Module)(nil)
@@ -29,10 +32,17 @@ func (m *Module) QueryMeta() query.SourceMeta {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	meta := query.SourceMeta{
-		RawPeriodSec: m.arch.rawPeriodSec,
-		MaxRawPoints: m.arch.maxRawPoints,
+		RawPeriodSec: m.cfg.SampleInterval.Seconds(),
+		MaxRawPoints: m.cfg.MaxRawPoints,
 		RawLostTs:    m.arch.rawLostTs,
 		StoreLostTs:  math.Inf(-1),
+	}
+	var periods []float64
+	if m.store != nil {
+		periods = m.store.TierPeriods()
+	}
+	if n := len(m.arch.tiers) + len(periods); n > 0 {
+		meta.Tiers = make([]query.TierMeta, 0, n)
 	}
 	for _, t := range m.arch.tiers {
 		meta.Tiers = append(meta.Tiers, query.TierMeta{
@@ -43,7 +53,7 @@ func (m *Module) QueryMeta() query.SourceMeta {
 	if m.store != nil {
 		meta.HasStore = true
 		meta.StoreLostTs = m.store.LostBeforeSec()
-		for _, period := range m.store.TierPeriods() {
+		for _, period := range periods {
 			lost := math.Inf(1) // empty tier log covers nothing
 			if first, _, ok := m.store.TierCoverage(period); ok {
 				lost = first
@@ -55,8 +65,8 @@ func (m *Module) QueryMeta() query.SourceMeta {
 			})
 		}
 	}
-	sort.SliceStable(meta.Tiers, func(i, j int) bool {
-		return meta.Tiers[i].PeriodSec < meta.Tiers[j].PeriodSec
+	slices.SortStableFunc(meta.Tiers, func(a, b query.TierMeta) int {
+		return cmp.Compare(a.PeriodSec, b.PeriodSec)
 	})
 	return meta
 }

@@ -2,8 +2,9 @@ package powerapi
 
 import (
 	"context"
-	"math"
+	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -39,21 +40,10 @@ func (gw *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		gw.badRequest(w, "%v", err)
 		return
 	}
-	// ParseFloat accepts NaN/Inf, and NaN compares false everywhere —
-	// it would slip past both the end<=0 "now" default and the planner's
-	// empty-window check, then fail JSON encoding. Reject it here.
-	var start, end float64
-	if s := q.Get("start"); s != "" {
-		if start, err = strconv.ParseFloat(s, 64); err != nil || math.IsNaN(start) || math.IsInf(start, 0) {
-			gw.badRequest(w, "start %q is not a finite number", s)
-			return
-		}
-	}
-	if s := q.Get("end"); s != "" {
-		if end, err = strconv.ParseFloat(s, 64); err != nil || math.IsNaN(end) || math.IsInf(end, 0) {
-			gw.badRequest(w, "end %q is not a finite number", s)
-			return
-		}
+	start, end, err := windowParams(q)
+	if err != nil {
+		gw.badRequest(w, "%v", err)
+		return
 	}
 	canonical := e.String()
 	key := "query:" + canonical +
@@ -79,4 +69,24 @@ func (gw *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	gw.writeCached(w, v)
+}
+
+// windowParams parses a window's optional start and end parameters;
+// an absent one is 0. ParseFloat accepts NaN and ±Inf, and NaN compares
+// false everywhere — it would slip past every comparison-based guard
+// downstream and fail only at JSON encoding — so only finite numbers
+// pass.
+func windowParams(q url.Values) (start, end float64, err error) {
+	for _, p := range [...]struct {
+		name string
+		v    *float64
+	}{{"start", &start}, {"end", &end}} {
+		if s := q.Get(p.name); s != "" {
+			*p.v, err = strconv.ParseFloat(s, 64)
+			if err != nil || !query.IsFinite(*p.v) {
+				return 0, 0, fmt.Errorf("%s %q is not a finite number", p.name, s)
+			}
+		}
+	}
+	return start, end, nil
 }

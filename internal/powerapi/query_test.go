@@ -137,6 +137,12 @@ func TestQueryBadExpr(t *testing.T) {
 		"/v1/query?expr=" + url.QueryEscape("sum(avg_over_time(node_power_watts[60s]))") + "&start=NaN",
 		"/v1/query?expr=" + url.QueryEscape("sum(avg_over_time(node_power_watts[60s]))") + "&end=Inf",
 		"/v1/query?expr=" + url.QueryEscape("sum(avg_over_time(node_power_watts[60s]))") + "&start=-Infinity",
+		// The node window read parses its bounds with the same rule.
+		"/v1/nodes/0/power?start=NaN",
+		"/v1/nodes/0/power?end=NaN",
+		"/v1/nodes/1/power?start=Inf",
+		"/v1/nodes/1/power?start=0&end=-Infinity",
+		"/v1/nodes/0/power?end=zebra",
 	} {
 		rec := get(gw, path, "")
 		if rec.Code != http.StatusBadRequest {

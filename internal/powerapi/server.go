@@ -656,19 +656,10 @@ func (gw *Gateway) handleNodePower(w http.ResponseWriter, r *http.Request) {
 			http.StatusNotFound)
 		return
 	}
-	q := r.URL.Query()
-	start, end := 0.0, 0.0
-	if s := q.Get("start"); s != "" {
-		if start, err = strconv.ParseFloat(s, 64); err != nil {
-			gw.badRequest(w, "start %q is not a number", s)
-			return
-		}
-	}
-	if s := q.Get("end"); s != "" {
-		if end, err = strconv.ParseFloat(s, 64); err != nil {
-			gw.badRequest(w, "end %q is not a number", s)
-			return
-		}
+	start, end, err := windowParams(r.URL.Query())
+	if err != nil {
+		gw.badRequest(w, "%v", err)
+		return
 	}
 	key := fmt.Sprintf("node:%d:%g:%g", rank, start, end)
 	ttl := gw.cfg.CacheTTL

@@ -148,7 +148,7 @@ func (m *Module) localPartial(body, own json.RawMessage) (Partial, error) {
 			return Partial{Complete: true}, nil
 		}
 	}
-	return foldSource(m.src, e, spec.StartSec, spec.EndSec, jobs, rank)
+	return foldSource(m.src, e, spec.StartSec, spec.EndSec, jobs, rank), nil
 }
 
 // handleFetch ships this rank's plan-selected records — what the
@@ -163,12 +163,8 @@ func (m *Module) handleFetch(req *broker.Request) {
 	rank := m.ctx.Rank()
 	reply := FetchReply{Rank: rank, LocalData: LocalData{Complete: true}}
 	if rankSelected(e, rank) && (!e.NeedsJobs() || len(rankJobs(e, spec, rank)) > 0) {
-		data, err := readLocal(m.src, spec.StartSec, spec.EndSec)
-		if err != nil {
-			_ = req.Fail(msg.EPROTO, err.Error())
-			return
-		}
-		reply.LocalData = data
+		lp := selectLocal(m.src.QueryMeta(), spec.StartSec, spec.EndSec)
+		reply.LocalData = readPlanned(m.src, lp, spec.StartSec, spec.EndSec, nil, nil)
 	}
 	_ = req.Respond(reply)
 }
@@ -281,7 +277,9 @@ type planError struct {
 
 func (e *planError) Error() string { return e.msg }
 
-func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+// IsFinite reports whether v is neither NaN nor ±Inf: the test every
+// window bound passes before any comparison, since NaN compares false.
+func IsFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // jobRecord is the slice of the job manager's record the planner needs.
 // State distinguishes a job that started at simulation time zero from
@@ -306,7 +304,7 @@ func (m *Module) resolvePlan(body EvalRequest) (*Expr, PlanSpec, error) {
 	// "now" default and the empty-window check below and poison the
 	// plan. The gateway rejects non-finite bounds too, but broker
 	// clients reach this service directly.
-	if !isFinite(body.StartSec) || !isFinite(body.EndSec) {
+	if !IsFinite(body.StartSec) || !IsFinite(body.EndSec) {
 		return nil, PlanSpec{}, &planError{code: msg.EINVAL, msg: "query: start/end must be finite"}
 	}
 	end := body.EndSec

@@ -287,27 +287,15 @@ func (id seriesID) groupKey(by []string, rank int32) string {
 	return strings.Join(parts, ",")
 }
 
-// FoldLocal evaluates one rank's share of the plan over its selected
-// records, producing the mergeable partial. The fetch service's replies,
-// the reference evaluator and durable reads fold through it; the
-// pushdown's raw and in-memory tier reads feed the same folder in place
-// from a Scanner. Byte-identical results fall out of sharing the kernel
-// and the records.
+// FoldLocal evaluates one rank's share of the plan over its copied-out
+// records, producing the mergeable partial. The fetch service's replies
+// and the reference evaluator fold through it; the pushdown's reads feed
+// the same folder through readPlanned. Byte-identical results fall out
+// of sharing the kernel and the records.
 func FoldLocal(e *Expr, spec PlanSpec, rank int32, data LocalData) Partial {
-	return foldData(e, rankJobs(e, spec, rank), rank, data)
-}
-
-// foldData folds a rank's copied-out records given the rank's own job
-// windows.
-func foldData(e *Expr, jobs []JobWindow, rank int32, data LocalData) Partial {
-	f := newFolder(e, jobs, rank, data.Source, data.Complete)
-	for i := range data.Samples {
-		f.sample(&data.Samples[i])
-	}
-	for i := range data.Buckets {
-		f.bucket(&data.Buckets[i])
-	}
-	return f.partial()
+	f := newFolder(e, rankJobs(e, spec, rank), rank)
+	data.visit(f.sample, f.bucket)
+	return f.partial(data.Source, data.Complete)
 }
 
 // folder is the single evaluation kernel: it folds one rank's records,
@@ -318,7 +306,6 @@ type folder struct {
 	e        *Expr
 	rank     int32
 	selected bool // false: the rank matcher excludes the rank
-	out      Partial
 	comps    []string
 	// jobs are the rank's job windows when byJob, the expression being
 	// job-scoped; first[i] is the series slot of jobs[i]'s job.
@@ -333,20 +320,11 @@ type folder struct {
 
 // newFolder prepares the series a rank can contribute; jobs are the
 // rank's own job windows (rankJobs), used when the expression is
-// job-scoped. A rank the rank matcher excludes folds nothing and answers
-// an empty complete partial with no source; otherwise the source is
-// attributed whenever a read happened, not only when it returned
-// records: a degraded coarsest tier with zero covering buckets still
-// needs to show up in X-Source for the Complete=false answer to be
-// explainable.
-func newFolder(e *Expr, jobs []JobWindow, rank int32, source string, complete bool) folder {
-	f := folder{e: e, rank: rank, selected: rankSelected(e, rank), out: Partial{Complete: complete}}
+// job-scoped. A rank the rank matcher excludes folds nothing.
+func newFolder(e *Expr, jobs []JobWindow, rank int32) folder {
+	f := folder{e: e, rank: rank, selected: rankSelected(e, rank)}
 	if !f.selected {
-		f.out.Complete = true
 		return f
-	}
-	if source != "" {
-		f.out.Sources = []string{source}
 	}
 	f.comps = selectedComponents(e)
 	if f.byJob = e.NeedsJobs(); !f.byJob {
@@ -410,9 +388,20 @@ func (f *folder) addBucket(slot int, mid float64, b *Bucket) {
 }
 
 // partial evaluates the window function per series and folds the
-// scalars into the groups or the top-k sketch.
-func (f *folder) partial() Partial {
-	out := f.out
+// scalars into the groups or the top-k sketch; source and complete
+// describe the read. A rank the rank matcher excludes answers an empty
+// complete partial with no source. Otherwise the source is attributed
+// whenever a read happened, not only when it returned records: a
+// degraded coarsest tier with zero covering buckets still needs to show
+// up in X-Source for the Complete=false answer to be explainable.
+func (f *folder) partial(source string, complete bool) Partial {
+	out := Partial{Complete: true}
+	if f.selected {
+		out.Complete = complete
+		if source != "" {
+			out.Sources = []string{source}
+		}
+	}
 	seriesTopK := f.e.Op == OpTopK && f.e.InnerOp == ""
 	if seriesTopK && f.selected {
 		out.Top = stats.NewTopK(f.e.K)

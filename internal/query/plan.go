@@ -1,8 +1,6 @@
 package query
 
 import (
-	"fmt"
-	"math"
 	"strconv"
 
 	"fluxpower/internal/variorum"
@@ -95,19 +93,15 @@ type localPlan struct {
 
 // selectLocal picks the cheapest resolution that covers [start, end]:
 // raw ring when the window is short enough and still fully buffered,
-// else the finest tier (memory before durable) whose retention reaches
-// start, else durable raw blocks, else the coarsest tier available —
+// else the finest tier (memory before durable) whose lost buckets all
+// ended by start, else durable raw blocks, else the coarsest tier —
 // flagged incomplete because even the longest memory lost the window's
 // beginning. The fallback means a query degrades to a partial answer,
 // never an error.
 func selectLocal(meta SourceMeta, start, end float64) localPlan {
-	points := (end - start) / meta.RawPeriodSec
-	maxPts := float64(meta.MaxRawPoints)
-	if meta.RawPeriodSec <= 0 {
-		points = math.Inf(1)
-	}
-	if start > meta.RawLostTs && points <= maxPts {
-		return localPlan{useRaw: true, source: SourceRaw, complete: true}
+	short := (end-start)/meta.RawPeriodSec <= float64(meta.MaxRawPoints) && meta.RawPeriodSec > 0
+	if start > meta.RawLostTs && short {
+		return selectRaw(meta, start)
 	}
 	for i := range meta.Tiers {
 		t := &meta.Tiers[i]
@@ -115,14 +109,26 @@ func selectLocal(meta SourceMeta, start, end float64) localPlan {
 			return localPlan{tier: t, source: tierSource(*t), complete: true}
 		}
 	}
-	if meta.HasStore && start > meta.StoreLostTs && points <= maxPts {
-		return localPlan{useStoreRaw: true, source: SourceStoreRaw, complete: true}
+	if raw := selectRaw(meta, start); raw.useStoreRaw && raw.complete && short {
+		return raw
 	}
 	if n := len(meta.Tiers); n > 0 {
 		t := &meta.Tiers[n-1]
 		return localPlan{tier: t, source: tierSource(*t), complete: false}
 	}
 	return localPlan{useRaw: true, source: SourceRaw, complete: start > meta.RawLostTs}
+}
+
+// selectRaw plans a read that must return raw samples whatever the
+// window's length: the ring while it still holds start, else the
+// durable blocks, else the ring, incomplete. A sample lost at start
+// itself was in the window, so raw coverage is strict. selectLocal
+// shares these steps.
+func selectRaw(meta SourceMeta, start float64) localPlan {
+	if start > meta.RawLostTs || !meta.HasStore {
+		return localPlan{useRaw: true, source: SourceRaw, complete: start > meta.RawLostTs}
+	}
+	return localPlan{useStoreRaw: true, source: SourceStoreRaw, complete: start > meta.StoreLostTs}
 }
 
 // JobWindow is one job's attribution window inside the query window.
@@ -177,51 +183,71 @@ type FetchReply struct {
 	LocalData
 }
 
-// readLocal plans and reads one node's share of the window.
-func readLocal(src Source, start, end float64) (LocalData, error) {
-	return readPlanned(src, selectLocal(src.QueryMeta(), start, end), start, end)
+// visit hands each record to sample or bucket, oldest first.
+func (d *LocalData) visit(sample func(*variorum.NodePower), bucket func(*Bucket)) {
+	for i := range d.Samples {
+		sample(&d.Samples[i])
+	}
+	for i := range d.Buckets {
+		bucket(&d.Buckets[i])
+	}
 }
 
-// readPlanned reads the records lp selected, copied out of src.
-func readPlanned(src Source, lp localPlan, start, end float64) (LocalData, error) {
+// readPlanned reads the records lp selected. Without visitors it copies
+// them into the result; with visitors it hands each to sample or bucket,
+// oldest first, in place for a Scanner's ring and in-memory tiers. A
+// durable raw read that fails degrades to the ring, flagged incomplete:
+// a node with a broken store answers what memory holds.
+func readPlanned(src Source, lp localPlan, start, end float64, sample func(*variorum.NodePower), bucket func(*Bucket)) LocalData {
 	out := LocalData{Source: lp.source, Complete: lp.complete}
+	sc, scan := src.(Scanner)
+	scan = scan && sample != nil
 	switch {
-	case lp.useRaw:
-		out.Samples = src.QueryRaw(start, end)
 	case lp.useStoreRaw:
 		samples, err := src.QueryStoreRaw(start, end)
 		if err != nil {
-			return LocalData{}, fmt.Errorf("query: store read: %w", err)
+			return readPlanned(src, localPlan{useRaw: true, source: SourceRaw}, start, end, sample, bucket)
 		}
 		out.Samples = samples
+	case lp.useRaw && scan:
+		sc.ScanRaw(start, end, sample)
+		return out
+	case lp.useRaw:
+		out.Samples = src.QueryRaw(start, end)
+	case scan && !lp.tier.Durable && sc.ScanTier(lp.tier.PeriodSec, start, end, bucket):
+		return out
 	default:
 		out.Buckets = src.QueryTier(lp.tier.PeriodSec, lp.tier.Durable, start, end)
 	}
-	return out, nil
+	if sample != nil {
+		out.visit(sample, bucket)
+	}
+	return out
+}
+
+// ReadRaw copies out a node's raw samples in [start, end] as selectRaw
+// plans them: the monitor's collect.
+func ReadRaw(src Source, start, end float64) LocalData {
+	return readPlanned(src, selectRaw(src.QueryMeta(), start), start, end, nil, nil)
+}
+
+// Visit plans [start, end] on src as the pushdown does and hands each
+// selected record to sample or bucket. It reports the source read, its
+// bucket period (0 for raw samples) and whether it reached back to
+// start.
+func Visit(src Source, start, end float64, sample func(*variorum.NodePower), bucket func(*Bucket)) (source string, periodSec float64, complete bool) {
+	lp := selectLocal(src.QueryMeta(), start, end)
+	data := readPlanned(src, lp, start, end, sample, bucket)
+	if lp.tier != nil {
+		periodSec = lp.tier.PeriodSec
+	}
+	return data.Source, periodSec, data.Complete
 }
 
 // foldSource plans one node's share of the window [start, end] and
 // folds it into the rank's partial; jobs are the rank's own job windows.
-// Raw-ring and in-memory tier windows of a Scanner are folded where they
-// lie; everything else — durable reads, sources without a Scanner — is
-// copied out by readPlanned and folded from the copy. Both feed the
-// same folder the same records in the same order, so the partial does
-// not depend on the path.
-func foldSource(src Source, e *Expr, start, end float64, jobs []JobWindow, rank int32) (Partial, error) {
-	lp := selectLocal(src.QueryMeta(), start, end)
-	if sc, ok := src.(Scanner); ok && (lp.useRaw || lp.tier != nil && !lp.tier.Durable) {
-		f := newFolder(e, jobs, rank, lp.source, lp.complete)
-		if lp.useRaw {
-			sc.ScanRaw(start, end, f.sample)
-			return f.partial(), nil
-		}
-		if sc.ScanTier(lp.tier.PeriodSec, start, end, f.bucket) {
-			return f.partial(), nil
-		}
-	}
-	data, err := readPlanned(src, lp, start, end)
-	if err != nil {
-		return Partial{}, err
-	}
-	return foldData(e, jobs, rank, data), nil
+func foldSource(src Source, e *Expr, start, end float64, jobs []JobWindow, rank int32) Partial {
+	f := newFolder(e, jobs, rank)
+	source, _, complete := Visit(src, start, end, f.sample, f.bucket)
+	return f.partial(source, complete)
 }

@@ -679,17 +679,9 @@ func (s *Store) TierCoverage(periodSec float64) (firstStartSec, lastEndSec float
 	return t.first, t.through, true
 }
 
-// Covers reports whether the store still holds everything at or after
-// start — false only once GC has deleted samples newer than or at start.
-func (s *Store) Covers(start float64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return start > s.gcLostTs
-}
-
 // LostBeforeSec returns the newest sample timestamp GC has deleted
 // (-Inf when nothing was lost) — the watermark a recovering archive
-// adopts.
+// adopts. The store holds everything after it.
 func (s *Store) LostBeforeSec() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -476,8 +476,8 @@ func TestStoreGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Health()
-	if !s.Covers(want[0].Timestamp) {
-		t.Fatal("Covers false before any GC")
+	if lost := s.LostBeforeSec(); !math.IsInf(lost, -1) {
+		t.Fatalf("loss watermark %v before any GC", lost)
 	}
 
 	// Shrink the budget and run GC.
@@ -495,11 +495,11 @@ func TestStoreGC(t *testing.T) {
 	if math.IsInf(lost, -1) {
 		t.Fatal("LostBeforeSec still -Inf after GC")
 	}
-	if s.Covers(want[0].Timestamp) {
-		t.Fatal("Covers(oldest) true after GC deleted it")
+	if want[0].Timestamp > lost {
+		t.Fatal("the watermark does not cover the oldest sample GC deleted")
 	}
-	if !s.Covers(lost + 1) {
-		t.Fatal("Covers(just past watermark) = false")
+	if kept, err := s.All(); err != nil || len(kept) == 0 || kept[0].Timestamp <= lost {
+		t.Fatalf("the store lost samples past its watermark %v (err %v)", lost, err)
 	}
 
 	// GC never outruns compaction: every deleted sample lives inside a
