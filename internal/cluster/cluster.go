@@ -3,7 +3,8 @@
 // application models (internal/apps), then drives everything on a
 // deterministic tick.
 //
-// Each tick the engine, for every running job:
+// Each tick the engine, for every running job (the cluster's first, then
+// each user-level sub-instance's):
 //
 //  1. asks the job's application model for its current power demand and
 //     installs it on the job's nodes;
@@ -24,7 +25,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,14 +91,6 @@ type Config struct {
 	// gates enforcement — a production system sets both to the same
 	// bound.
 	SchedBudgetW float64
-	// Engine selects the simulation core: EngineTick (the classic
-	// fixed-Δt loop that advances every running job on a global 100 ms
-	// ticker) or EngineEvent (discrete-event: each running job schedules
-	// its own next progress event, so idle periods and idle nodes cost
-	// nothing). "" = EngineTick. Both engines integrate job progress and
-	// energy with identical per-Δt math on the same tick grid; the
-	// tick-equivalence suite holds them to matching results.
-	Engine string
 }
 
 const (
@@ -105,25 +98,9 @@ const (
 	tbonFanout = 2
 	// tick is the simulation step.
 	tick = 100 * time.Millisecond
-	// maxEngineShards caps the per-rank event-queue shards in EngineEvent
-	// mode; a cluster uses min(Nodes, maxEngineShards). Shard 0 is
-	// reserved for the engine's own job-progress events so that, at shared
-	// instants, demand updates precede module sampling — the same
-	// ordering the tick engine guarantees by registering its ticker
-	// first.
-	maxEngineShards = 64
-)
-
-// Engine values for Config.Engine.
-const (
-	EngineTick  = "tick"
-	EngineEvent = "event"
 )
 
 func (c Config) withDefaults() Config {
-	if c.Engine == "" {
-		c.Engine = EngineTick
-	}
 	if c.MonitorOverheadFrac < 0 {
 		switch c.System {
 		case Tioga:
@@ -165,13 +142,89 @@ func (s JobStats) ExecSec() float64 {
 	return s.EndSec - s.StartSec
 }
 
+// runningJob is a job whose application model the engine advances. Its
+// nodes are resolved when it starts, so a cluster job and a sub-instance
+// job advance and finish on one path.
 type runningJob struct {
-	rec      job.Record
+	nodes    []*hw.Node
 	instance *apps.Instance
 	stats    *JobStats
-	// ev is the job's next progress event (EngineEvent mode only): a
-	// pooled one-shot on the engine shard, re-armed after each advance.
-	ev simtime.EventRef
+}
+
+// jobSet is one job manager's jobs as the engine sees them: the running
+// ones and the accounting of every one started. The cluster's instance
+// has one, and so does each sub-instance.
+type jobSet struct {
+	running map[uint64]*runningJob
+	stats   map[uint64]*JobStats
+}
+
+func newJobSet() jobSet {
+	return jobSet{running: make(map[uint64]*runningJob), stats: make(map[uint64]*JobStats)}
+}
+
+// start opens a started job's stats window and, when it has an
+// application model, makes it running on nodes.
+func (js *jobSet) start(rec job.Record, nodes []*hw.Node, instance *apps.Instance) {
+	st := &JobStats{
+		ID:       rec.ID,
+		App:      rec.Spec.App,
+		Nodes:    len(rec.Ranks),
+		Ranks:    append([]int32(nil), rec.Ranks...),
+		StartSec: rec.StartSec,
+	}
+	js.stats[rec.ID] = st
+	if instance != nil {
+		js.running[rec.ID] = &runningJob{nodes: nodes, instance: instance, stats: st}
+	}
+}
+
+// finish ends a running job: its nodes go idle and its stats window
+// closes. Jobs that are not running are ignored.
+func (js *jobSet) finish(rec job.Record) {
+	rj, ok := js.running[rec.ID]
+	if !ok {
+		return
+	}
+	delete(js.running, rec.ID)
+	for _, n := range rj.nodes {
+		n.SetIdle()
+	}
+	st := rj.stats
+	st.EndSec = rec.EndSec
+	if st.sampleSec > 0 {
+		st.AvgNodePowerW = st.sumPowerDt / st.sampleSec
+		st.EnergyPerNodeJ = st.sumPowerDt
+	}
+}
+
+// Stats returns the accounting for a job (valid once started). ok is
+// false for unknown jobs.
+func (js *jobSet) Stats(id uint64) (JobStats, bool) {
+	st, ok := js.stats[id]
+	if !ok {
+		return JobStats{}, false
+	}
+	return *st, true
+}
+
+// drained reports whether no jobs are running or pending dispatch in
+// jm, the set's job manager. A job list that cannot be read counts as
+// not drained.
+func (js *jobSet) drained(jm *job.Client) bool {
+	if len(js.running) != 0 {
+		return false
+	}
+	jobs, err := jm.List()
+	if err != nil {
+		return false
+	}
+	for _, j := range jobs {
+		if j.State != job.StateInactive {
+			return false
+		}
+	}
+	return true
 }
 
 // Cluster is a live simulated system.
@@ -182,17 +235,19 @@ type Cluster struct {
 	Inst  *broker.Instance
 	nodes []*hw.Node
 	JM    *job.Client
+	jobSet
 
-	rng     *rand.Rand
-	running map[uint64]*runningJob
-	stats   map[uint64]*JobStats
-	subs    map[uint64]*SubInstance // nested user-level instances by parent job
-	ticker  *simtime.Timer          // EngineTick only
+	rng    *rand.Rand
+	subs   map[uint64]*SubInstance // nested user-level instances by parent job
+	ticker *simtime.Timer
+
+	// ids, done and parentIDs are onTick's buffers, kept across ticks.
+	ids, done, parentIDs []uint64
 
 	// advMu serializes simulation advancement against Close, so Close can
 	// drain an in-flight timer callback instead of racing it. closed stops
-	// the engines (tick callback and job events become no-ops) the moment
-	// Close is called, even before advMu is acquired.
+	// the tick callback the moment Close is called, even before advMu is
+	// acquired.
 	advMu  sync.Mutex
 	closed atomic.Bool
 }
@@ -220,26 +275,14 @@ func New(cfg Config) (*Cluster, error) {
 	nodeCfg.SensorNoiseW = cfg.SensorNoiseW
 	nodeCfg.GPUCapFailureProb = cfg.GPUCapFailureProb
 
-	// EngineEvent runs on a sharded event queue: shard 0 is the engine's
-	// (job progress), shards 1..shards hold broker/module timers in
-	// contiguous rank blocks, so cross-rank firing order at a shared
-	// instant stays rank order — matching the tick engine's load-order
-	// tie-break.
-	shards := min(cfg.Nodes, maxEngineShards)
-	var sched *simtime.Scheduler
-	if cfg.Engine == EngineEvent {
-		sched = simtime.NewShardedScheduler(1 + shards)
-	} else {
-		sched = simtime.NewScheduler()
-	}
+	sched := simtime.NewScheduler()
 	c := &Cluster{
-		cfg:     cfg,
-		arch:    arch,
-		Sched:   sched,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		running: make(map[uint64]*runningJob),
-		stats:   make(map[uint64]*JobStats),
-		subs:    make(map[uint64]*SubInstance),
+		cfg:    cfg,
+		arch:   arch,
+		Sched:  sched,
+		jobSet: newJobSet(),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		subs:   make(map[uint64]*SubInstance),
 	}
 
 	for i := 0; i < cfg.Nodes; i++ {
@@ -251,17 +294,10 @@ func New(cfg Config) (*Cluster, error) {
 		c.nodes = append(c.nodes, n)
 	}
 
-	var timersFor func(rank int32) simtime.TimerProvider
-	if cfg.Engine == EngineEvent {
-		timersFor = func(rank int32) simtime.TimerProvider {
-			return sched.Shard(1 + int(rank)*shards/cfg.Nodes)
-		}
-	}
 	inst, err := broker.NewInstance(broker.InstanceOptions{
 		Size:        cfg.Nodes,
 		Fanout:      tbonFanout,
 		Scheduler:   sched,
-		TimersFor:   timersFor,
 		Local:       func(rank int32) any { return c.nodes[rank] },
 		WrapLink:    cfg.WrapLink,
 		CallTimeout: cfg.CallTimeout,
@@ -272,13 +308,9 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.Inst = inst
 
-	if cfg.Engine == EngineTick {
-		// The tick engine registers first so that, at shared deadlines,
-		// demand is updated before any module timer samples power. (The
-		// event engine gets the same guarantee from shard 0 being the
-		// lowest shard.)
-		c.ticker = sched.TickEvery(tick, c.onTick)
-	}
+	// The tick registers first so that, at shared deadlines, demand is
+	// updated before any module timer samples power.
+	c.ticker = sched.TickEvery(tick, c.onTick)
 
 	if err := inst.Root().LoadModule(kvs.New()); err != nil {
 		return nil, err
@@ -296,9 +328,20 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.JM = job.NewClient(inst.Root())
 
-	inst.Root().Subscribe(job.EventStart, c.onJobStart)
-	inst.Root().Subscribe(job.EventFinish, c.onJobFinish)
+	inst.Root().Subscribe(job.EventStart, onRecord(c.onJobStart))
+	inst.Root().Subscribe(job.EventFinish, onRecord(c.onJobFinish))
 	return c, nil
+}
+
+// onRecord adapts a job-record handler to a job event subscription;
+// events that do not decode are dropped.
+func onRecord(fn func(job.Record)) broker.EventHandler {
+	return func(ev *msg.Message) {
+		var rec job.Record
+		if ev.Unmarshal(&rec) == nil {
+			fn(rec)
+		}
+	}
 }
 
 // Arch returns the cluster's node architecture.
@@ -313,52 +356,46 @@ func (c *Cluster) NodeCount() int { return len(c.nodes) }
 // Now returns the current simulated time.
 func (c *Cluster) Now() simtime.Time { return c.Sched.Now() }
 
+// nodesOf resolves job ranks to hardware. A sub-instance's ranks index
+// its allocation's parent ranks, passed as via; nil maps ranks as-is.
+func (c *Cluster) nodesOf(ranks, via []int32) []*hw.Node {
+	nodes := make([]*hw.Node, len(ranks))
+	for i, r := range ranks {
+		if via != nil {
+			r = via[r]
+		}
+		nodes[i] = c.nodes[r]
+	}
+	return nodes
+}
+
+// newInstance builds a started job's application model.
+func (c *Cluster) newInstance(rec job.Record, seed int64) (*apps.Instance, error) {
+	profile, err := apps.Lookup(rec.Spec.App)
+	if err != nil {
+		return nil, err
+	}
+	return apps.NewInstance(profile, c.arch, len(rec.Ranks), rec.Spec.SizeFactor, rec.Spec.RepFactor, seed)
+}
+
 // onJobStart instantiates the application model when the job manager
 // starts a job.
-func (c *Cluster) onJobStart(ev *msg.Message) {
-	var rec job.Record
-	if err := ev.Unmarshal(&rec); err != nil {
-		return
-	}
+func (c *Cluster) onJobStart(rec job.Record) {
 	if rec.Spec.App == InstanceApp {
 		// An allocation-holding job backing a user-level sub-instance:
 		// no application model; power is drawn by the sub-jobs the user
 		// runs inside it (see SpawnSubInstance).
-		c.stats[rec.ID] = &JobStats{
-			ID:       rec.ID,
-			App:      rec.Spec.App,
-			Nodes:    len(rec.Ranks),
-			Ranks:    append([]int32(nil), rec.Ranks...),
-			StartSec: rec.StartSec,
-		}
+		c.start(rec, nil, nil)
 		return
 	}
-	profile, err := apps.Lookup(rec.Spec.App)
+	instance, err := c.newInstance(rec, c.cfg.Seed+int64(rec.ID)*99991)
 	if err != nil {
 		// Unknown application: fail the job immediately so queues drain.
 		_, _ = c.JM.Finish(rec.ID)
 		return
 	}
-	instance, err := apps.NewInstance(profile, c.arch, len(rec.Ranks), rec.Spec.SizeFactor, rec.Spec.RepFactor,
-		c.cfg.Seed+int64(rec.ID)*99991)
-	if err != nil {
-		_, _ = c.JM.Finish(rec.ID)
-		return
-	}
 	instance.SetOverhead(c.jobOverhead(rec))
-	st := &JobStats{
-		ID:       rec.ID,
-		App:      rec.Spec.App,
-		Nodes:    len(rec.Ranks),
-		Ranks:    append([]int32(nil), rec.Ranks...),
-		StartSec: rec.StartSec,
-	}
-	c.stats[rec.ID] = st
-	rj := &runningJob{rec: rec, instance: instance, stats: st}
-	c.running[rec.ID] = rj
-	if c.cfg.Engine == EngineEvent {
-		c.scheduleJobEvent(rj)
-	}
+	c.start(rec, c.nodesOf(rec.Ranks, nil), instance)
 }
 
 // jobOverhead combines monitor sampling overhead (if the job's nodes run
@@ -405,34 +442,17 @@ func (c *Cluster) drawJitter(app string, nodes int) float64 {
 }
 
 // onJobFinish idles the job's nodes and closes its stats record.
-func (c *Cluster) onJobFinish(ev *msg.Message) {
-	var rec job.Record
-	if err := ev.Unmarshal(&rec); err != nil {
-		return
-	}
-	rj, ok := c.running[rec.ID]
-	if !ok {
+func (c *Cluster) onJobFinish(rec job.Record) {
+	if st := c.stats[rec.ID]; st != nil && st.EndSec == 0 && rec.Spec.App == InstanceApp {
 		// Allocation-holding jobs (sub-instances) have no running entry:
 		// close their stats window and idle their nodes.
-		if st, isAlloc := c.stats[rec.ID]; isAlloc && st.EndSec == 0 && rec.Spec.App == InstanceApp {
-			st.EndSec = rec.EndSec
-			for _, rank := range rec.Ranks {
-				c.nodes[rank].SetIdle()
-			}
+		st.EndSec = rec.EndSec
+		for _, rank := range rec.Ranks {
+			c.nodes[rank].SetIdle()
 		}
 		return
 	}
-	delete(c.running, rec.ID)
-	rj.ev.Stop()
-	for _, rank := range rj.rec.Ranks {
-		c.nodes[rank].SetIdle()
-	}
-	st := rj.stats
-	st.EndSec = rec.EndSec
-	if st.sampleSec > 0 {
-		st.AvgNodePowerW = st.sumPowerDt / st.sampleSec
-		st.EnergyPerNodeJ = st.sumPowerDt
-	}
+	c.finish(rec)
 }
 
 // measuredNodePower returns the node power as the system can measure it:
@@ -454,17 +474,14 @@ func measuredNodePower(n *hw.Node, act hw.Actual) float64 {
 // advanceJob moves one running job forward by dt seconds: install the
 // application's current demand on its nodes, read back actual power
 // after cap enforcement, integrate energy, and advance progress at the
-// slowest node's rate. Both engines call exactly this, so a tick-engine
-// run and an event-engine run integrate identical per-Δt math. It
-// reports whether the job completed its work.
-func (c *Cluster) advanceJob(rj *runningJob, dt float64) bool {
-	cfg := c.nodes[rj.rec.Ranks[0]].Config()
+// slowest node's rate. It reports whether the job completed its work.
+func advanceJob(rj *runningJob, dt float64) bool {
+	cfg := rj.nodes[0].Config()
 	demand := rj.instance.Demand(cfg)
 
 	jobRate := 1.0
 	var avgPower float64
-	for _, rank := range rj.rec.Ranks {
-		node := c.nodes[rank]
+	for _, node := range rj.nodes {
 		node.SetDemand(demand)
 		act := node.Actual()
 		r := rj.instance.NodeRate(cfg, demand, act)
@@ -477,7 +494,7 @@ func (c *Cluster) advanceJob(rj *runningJob, dt float64) bool {
 			rj.stats.MaxNodePowerW = w
 		}
 	}
-	avgPower /= float64(len(rj.rec.Ranks))
+	avgPower /= float64(len(rj.nodes))
 	rj.stats.sumPowerDt += avgPower * dt
 	rj.stats.sampleSec += dt
 
@@ -485,28 +502,47 @@ func (c *Cluster) advanceJob(rj *runningJob, dt float64) bool {
 	return rj.instance.Done()
 }
 
-// onTick advances every running job by one tick (EngineTick).
-func (c *Cluster) onTick(now simtime.Time) {
+// onTick advances every running job by one tick: the cluster's jobs in
+// id order, finishing those whose work completed (which releases nodes
+// and redispatches queued jobs), then each sub-instance's the same way
+// in parent-id order.
+func (c *Cluster) onTick(simtime.Time) {
 	if c.closed.Load() {
 		return
 	}
-	dt := tick.Seconds()
-	ids := make([]uint64, 0, len(c.running))
-	for id := range c.running {
-		ids = append(ids, id)
+	c.step(c.JM, &c.jobSet)
+	if len(c.subs) == 0 {
+		return
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	c.parentIDs = sortedIDs(c.parentIDs[:0], c.subs)
+	for _, pid := range c.parentIDs {
+		si := c.subs[pid]
+		c.step(si.JM, &si.jobSet)
+	}
+}
 
-	var done []uint64
-	for _, id := range ids {
-		if c.advanceJob(c.running[id], dt) {
-			done = append(done, id)
+// step advances js's running jobs by one tick in id order, then finishes
+// the ones whose work completed through jm, the set's job manager.
+func (c *Cluster) step(jm *job.Client, js *jobSet) {
+	c.ids = sortedIDs(c.ids[:0], js.running)
+	c.done = c.done[:0]
+	for _, id := range c.ids {
+		if advanceJob(js.running[id], tick.Seconds()) {
+			c.done = append(c.done, id)
 		}
 	}
-	for _, id := range done {
-		_, _ = c.JM.Finish(id) // triggers onJobFinish + FCFS rescheduling
+	for _, id := range c.done {
+		_, _ = jm.Finish(id) // triggers the finish event and redispatch
 	}
-	c.tickSubInstances(dt)
+}
+
+// sortedIDs appends m's keys to dst in ascending order.
+func sortedIDs[V any](dst []uint64, m map[uint64]V) []uint64 {
+	for id := range m {
+		dst = append(dst, id)
+	}
+	slices.Sort(dst)
+	return dst
 }
 
 // Submit queues a job.
@@ -516,23 +552,7 @@ func (c *Cluster) Submit(spec job.Spec) (uint64, error) {
 
 // RunningJobs returns the IDs of currently running jobs, sorted.
 func (c *Cluster) RunningJobs() []uint64 {
-	ids := make([]uint64, 0, len(c.running))
-	for id := range c.running {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// Stats returns the accounting for a job (valid once started). ok is
-// false for unknown jobs.
-func (c *Cluster) Stats(id uint64) (JobStats, bool) {
-	st, ok := c.stats[id]
-	if !ok {
-		return JobStats{}, false
-	}
-	cp := *st
-	return cp, true
+	return sortedIDs(make([]uint64, 0, len(c.running)), c.running)
 }
 
 // TotalPowerW returns the instantaneous measured power summed over all
@@ -553,23 +573,6 @@ func (c *Cluster) RunFor(d time.Duration) {
 	c.Sched.Advance(d)
 }
 
-// drained reports whether no jobs are running or pending dispatch.
-func (c *Cluster) drained() bool {
-	if len(c.running) != 0 {
-		return false
-	}
-	jobs, err := c.JM.List()
-	if err != nil {
-		return false
-	}
-	for _, j := range jobs {
-		if j.State != job.StateInactive {
-			return false
-		}
-	}
-	return true
-}
-
 // RunUntilIdle advances the simulation until no jobs are running or
 // queued, or until limit elapses. It returns the instant it stopped and
 // whether the system drained.
@@ -577,55 +580,26 @@ func (c *Cluster) RunUntilIdle(limit time.Duration) (simtime.Time, bool) {
 	c.advMu.Lock()
 	defer c.advMu.Unlock()
 	end := c.Sched.Now().Add(limit)
-	if c.cfg.Engine == EngineEvent {
-		// Event engine: jump from event to event; an idle stretch (or an
-		// idle 50k-node fleet) costs nothing per tick because nothing is
-		// scheduled for it.
-		for {
-			if c.drained() {
-				return c.Sched.Now(), true
-			}
-			if !c.Sched.StepLimit(end) {
-				// No events before the horizon: nothing can change state.
-				c.Sched.AdvanceTo(end)
-				return c.Sched.Now(), len(c.running) == 0
-			}
-		}
-	}
 	for c.Sched.Now() < end {
-		if c.drained() {
+		if c.drained(c.JM) {
 			return c.Sched.Now(), true
 		}
 		// Advance one tick at a time; timers fire in-order.
-		step := tick
-		if remaining := end.Sub(c.Sched.Now()); remaining < step {
-			step = remaining
-		}
-		c.Sched.Advance(step)
+		c.Sched.Advance(min(tick, end.Sub(c.Sched.Now())))
 	}
-	return c.Sched.Now(), len(c.running) == 0
+	return c.Sched.Now(), c.drained(c.JM)
 }
 
 // Close stops the simulation engine. It is safe to call concurrently
-// with RunFor/RunUntilIdle from another goroutine: the engines are
-// switched off immediately (no further job advances run), and Close then
-// waits for any in-flight advance to drain before stopping the timers,
-// so no callback can race the teardown.
+// with RunFor/RunUntilIdle from another goroutine: the tick is switched
+// off immediately (no further job advances run), and Close then waits
+// for any in-flight advance to drain before stopping the ticker, so no
+// callback can race the teardown.
 func (c *Cluster) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
 	}
 	c.advMu.Lock()
 	defer c.advMu.Unlock()
-	if c.ticker != nil {
-		c.ticker.Stop()
-	}
-	for _, rj := range c.running {
-		rj.ev.Stop()
-	}
-	for _, si := range c.subs {
-		for _, rj := range si.running {
-			rj.ev.Stop()
-		}
-	}
+	c.ticker.Stop()
 }

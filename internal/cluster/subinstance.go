@@ -2,13 +2,10 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
-	"fluxpower/internal/apps"
 	"fluxpower/internal/flux/broker"
 	"fluxpower/internal/flux/job"
 	"fluxpower/internal/flux/kvs"
-	"fluxpower/internal/flux/msg"
 )
 
 // InstanceApp is the jobspec App value that turns a job into a nested
@@ -30,12 +27,11 @@ type SubInstance struct {
 	Inst *broker.Instance
 	// JM submits jobs into the nested instance.
 	JM *job.Client
+	jobSet
 
-	c       *Cluster
-	ranks   []int32 // parent ranks, indexed by sub-instance rank
-	running map[uint64]*runningJob
-	stats   map[uint64]*JobStats
-	closed  bool
+	c      *Cluster
+	ranks  []int32 // parent ranks, indexed by sub-instance rank
+	closed bool
 }
 
 // SpawnSubInstance submits an allocation-holding job (App = "flux") and
@@ -95,16 +91,15 @@ func (c *Cluster) SpawnSubInstanceWith(spec job.Spec, opts job.Options) (*SubIns
 		return nil, err
 	}
 	si := &SubInstance{
-		JobID:   id,
-		Inst:    inst,
-		JM:      job.NewClient(inst.Root()),
-		c:       c,
-		ranks:   ranks,
-		running: make(map[uint64]*runningJob),
-		stats:   make(map[uint64]*JobStats),
+		JobID:  id,
+		Inst:   inst,
+		JM:     job.NewClient(inst.Root()),
+		jobSet: newJobSet(),
+		c:      c,
+		ranks:  ranks,
 	}
-	inst.Root().Subscribe(job.EventStart, si.onSubJobStart)
-	inst.Root().Subscribe(job.EventFinish, si.onSubJobFinish)
+	inst.Root().Subscribe(job.EventStart, onRecord(si.onSubJobStart))
+	inst.Root().Subscribe(job.EventFinish, onRecord(si.finish))
 	c.subs[id] = si
 	return si, nil
 }
@@ -117,34 +112,12 @@ func (si *SubInstance) Submit(spec job.Spec) (uint64, error) {
 	return si.JM.Submit(spec)
 }
 
-// Stats returns a sub-job's accounting.
-func (si *SubInstance) Stats(id uint64) (JobStats, bool) {
-	st, ok := si.stats[id]
-	if !ok {
-		return JobStats{}, false
-	}
-	return *st, true
-}
-
 // Ranks returns the parent ranks backing this instance.
 func (si *SubInstance) Ranks() []int32 { return append([]int32(nil), si.ranks...) }
 
-// Idle reports whether no sub-jobs are running or queued.
-func (si *SubInstance) Idle() bool {
-	if len(si.running) > 0 {
-		return false
-	}
-	jobs, err := si.JM.List()
-	if err != nil {
-		return true
-	}
-	for _, j := range jobs {
-		if j.State != job.StateInactive {
-			return false
-		}
-	}
-	return true
-}
+// Idle reports whether no sub-jobs are running or queued. A job list
+// that cannot be read counts as not idle.
+func (si *SubInstance) Idle() bool { return si.drained(si.JM) }
 
 // Close tears the user-level instance down and releases the parent
 // allocation. Running sub-jobs are abandoned (their nodes idle), like
@@ -155,125 +128,18 @@ func (si *SubInstance) Close() error {
 	}
 	si.closed = true
 	delete(si.c.subs, si.JobID)
-	for id, rj := range si.running {
-		delete(si.running, id)
-		rj.ev.Stop()
-	}
+	clear(si.running)
 	_, err := si.c.JM.Finish(si.JobID)
 	return err
 }
 
-func (si *SubInstance) onSubJobStart(ev *msg.Message) {
-	var rec job.Record
-	if err := ev.Unmarshal(&rec); err != nil {
-		return
-	}
-	profile, err := apps.Lookup(rec.Spec.App)
+// onSubJobStart instantiates a sub-job's application model on the
+// parent nodes its sub-instance ranks map to.
+func (si *SubInstance) onSubJobStart(rec job.Record) {
+	instance, err := si.c.newInstance(rec, si.c.cfg.Seed+int64(si.JobID)*31337+int64(rec.ID)*99991)
 	if err != nil {
 		_, _ = si.JM.Finish(rec.ID)
 		return
 	}
-	instance, err := apps.NewInstance(profile, si.c.arch, len(rec.Ranks),
-		rec.Spec.SizeFactor, rec.Spec.RepFactor,
-		si.c.cfg.Seed+int64(si.JobID)*31337+int64(rec.ID)*99991)
-	if err != nil {
-		_, _ = si.JM.Finish(rec.ID)
-		return
-	}
-	st := &JobStats{
-		ID:       rec.ID,
-		App:      rec.Spec.App,
-		Nodes:    len(rec.Ranks),
-		Ranks:    append([]int32(nil), rec.Ranks...),
-		StartSec: rec.StartSec,
-	}
-	si.stats[rec.ID] = st
-	rj := &runningJob{rec: rec, instance: instance, stats: st}
-	si.running[rec.ID] = rj
-	if si.c.cfg.Engine == EngineEvent {
-		si.scheduleSubJobEvent(rj)
-	}
-}
-
-func (si *SubInstance) onSubJobFinish(ev *msg.Message) {
-	var rec job.Record
-	if err := ev.Unmarshal(&rec); err != nil {
-		return
-	}
-	rj, ok := si.running[rec.ID]
-	if !ok {
-		return
-	}
-	delete(si.running, rec.ID)
-	rj.ev.Stop()
-	for _, subRank := range rj.rec.Ranks {
-		si.c.nodes[si.ranks[subRank]].SetIdle()
-	}
-	st := rj.stats
-	st.EndSec = rec.EndSec
-	if st.sampleSec > 0 {
-		st.AvgNodePowerW = st.sumPowerDt / st.sampleSec
-		st.EnergyPerNodeJ = st.sumPowerDt
-	}
-}
-
-// advanceSubJob moves one nested job forward by dt seconds — the same
-// math as Cluster.advanceJob with sub-instance rank indirection. Both
-// engines call exactly this. It reports whether the job completed.
-func (si *SubInstance) advanceSubJob(rj *runningJob, dt float64) bool {
-	c := si.c
-	nodeCfg := c.nodes[si.ranks[rj.rec.Ranks[0]]].Config()
-	demand := rj.instance.Demand(nodeCfg)
-	jobRate := 1.0
-	var avgPower float64
-	for _, subRank := range rj.rec.Ranks {
-		node := c.nodes[si.ranks[subRank]]
-		node.SetDemand(demand)
-		act := node.Actual()
-		r := rj.instance.NodeRate(nodeCfg, demand, act)
-		if r < jobRate {
-			jobRate = r
-		}
-		w := measuredNodePower(node, act)
-		avgPower += w
-		if w > rj.stats.MaxNodePowerW {
-			rj.stats.MaxNodePowerW = w
-		}
-	}
-	avgPower /= float64(len(rj.rec.Ranks))
-	rj.stats.sumPowerDt += avgPower * dt
-	rj.stats.sampleSec += dt
-	rj.instance.Advance(dt, jobRate)
-	return rj.instance.Done()
-}
-
-// tickSubInstances advances every nested instance's running jobs by one
-// tick; called from the tick engine's onTick. (The event engine never
-// calls this: sub-jobs schedule their own events at start.)
-func (c *Cluster) tickSubInstances(dt float64) {
-	if len(c.subs) == 0 {
-		return
-	}
-	parentIDs := make([]uint64, 0, len(c.subs))
-	for id := range c.subs {
-		parentIDs = append(parentIDs, id)
-	}
-	sort.Slice(parentIDs, func(i, j int) bool { return parentIDs[i] < parentIDs[j] })
-	for _, pid := range parentIDs {
-		si := c.subs[pid]
-		ids := make([]uint64, 0, len(si.running))
-		for id := range si.running {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		var done []uint64
-		for _, id := range ids {
-			if si.advanceSubJob(si.running[id], dt) {
-				done = append(done, id)
-			}
-		}
-		for _, id := range done {
-			_, _ = si.JM.Finish(id)
-		}
-	}
+	si.start(rec, si.c.nodesOf(rec.Ranks, si.ranks), instance)
 }

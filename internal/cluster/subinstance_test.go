@@ -161,3 +161,55 @@ func TestSubInstanceEnergyAccounting(t *testing.T) {
 		t.Fatal("parent allocation stats window not closed")
 	}
 }
+
+// TestSubInstanceSpawnedMidRun spawns a sub-instance while a cluster job
+// runs and submits its sub-jobs at staggered instants. The sub-jobs run
+// on parent nodes 2-5 through the allocation's rank map. Every job's
+// timing and power are pinned to the bit.
+func TestSubInstanceSpawnedMidRun(t *testing.T) {
+	c := newLassen(t, 8)
+	mainID, err := c.Submit(job.Spec{App: "quicksilver", Nodes: 2, SizeFactor: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(5 * time.Second)
+	si, err := c.SpawnSubInstance(job.Spec{Name: "mid-run-alloc", Nodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := si.Submit(job.Spec{App: "laghos", Nodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(3 * time.Second)
+	b, err := si.Submit(job.Spec{App: "gemm", Nodes: 2, RepFactor: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(10 * time.Minute)
+	if len(c.RunningJobs()) != 0 || !si.Idle() {
+		t.Fatalf("jobs never drained: running %v, sub-instance idle %v", c.RunningJobs(), si.Idle())
+	}
+	type pin struct {
+		start, end, energy, maxW, avgW float64
+	}
+	check := func(name string, st JobStats, ok bool, want pin) {
+		t.Helper()
+		got := pin{st.StartSec, st.EndSec, st.EnergyPerNodeJ, st.MaxNodePowerW, st.AvgNodePowerW}
+		if !ok || got != want {
+			t.Errorf("%s: got %+v (ok %v), want %+v", name, got, ok, want)
+		}
+	}
+	st, ok := c.Stats(mainID)
+	check("cluster job", st, ok, pin{0, 51.2, 28992, 940, 566.2499999999949})
+	st, ok = si.Stats(a)
+	check("sub-job a", st, ok, pin{5, 17.6, 5982, 530, 474.76190476190584})
+	st, ok = si.Stats(b)
+	check("sub-job b", st, ok, pin{17.6, 72.4, 72824, 1520, 1328.9051094890388})
+	if got := si.Ranks(); len(got) != 4 || got[0] != 2 {
+		t.Fatalf("allocation ranks %v, want 2-5", got)
+	}
+	if err := si.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

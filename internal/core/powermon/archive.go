@@ -4,6 +4,7 @@ import (
 	"math"
 	"time"
 
+	"fluxpower/internal/query"
 	"fluxpower/internal/ringbuf"
 	"fluxpower/internal/variorum"
 )
@@ -40,6 +41,8 @@ const DefaultMaxRawPoints = 10_000
 type tier struct {
 	fold variorum.Fold
 	ring *ringbuf.Ring[variorum.Bucket]
+	// source labels the tier's planned reads, built once here.
+	source string
 	// lostEndSec is the coverage watermark: the EndSec of the newest
 	// bucket this tier has lost (to ring eviction, or known-missing at
 	// restore time). -Inf means nothing was ever lost. Tracking loss
@@ -75,6 +78,7 @@ func newArchive(rawSamples int, specs []TierSpec) *archive {
 		a.tiers = append(a.tiers, &tier{
 			fold:       variorum.Fold{PeriodSec: s.Period.Seconds()},
 			ring:       ringbuf.New[variorum.Bucket](s.Buckets),
+			source:     query.TierSource(s.Period.Seconds(), false),
 			lostEndSec: math.Inf(-1),
 		})
 	}

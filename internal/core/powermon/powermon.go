@@ -167,6 +167,9 @@ type Module struct {
 	// has its own internal lock; it is written under mu only to keep the
 	// archive and the store observing samples in the same order.
 	store *tsdb.Store
+	// storeSources labels the store's tier-log reads by period, built
+	// once when the store opens.
+	storeSources map[float64]string
 }
 
 // New creates a monitor module.
@@ -232,6 +235,10 @@ func (m *Module) Init(ctx *broker.Context) error {
 			return fmt.Errorf("powermon: rank %d store: %w", ctx.Rank(), err)
 		}
 		m.store = st
+		m.storeSources = make(map[float64]string)
+		for _, period := range st.TierPeriods() {
+			m.storeSources[period] = query.TierSource(period, true)
+		}
 		if err := m.recoverFromStore(); err != nil {
 			return fmt.Errorf("powermon: rank %d store recovery: %w", ctx.Rank(), err)
 		}

@@ -48,6 +48,7 @@ func (m *Module) QueryMeta() query.SourceMeta {
 		meta.Tiers = append(meta.Tiers, query.TierMeta{
 			PeriodSec:  t.fold.PeriodSec,
 			LostEndSec: t.lostEndSec,
+			Source:     t.source,
 		})
 	}
 	if m.store != nil {
@@ -62,6 +63,7 @@ func (m *Module) QueryMeta() query.SourceMeta {
 				PeriodSec:  period,
 				LostEndSec: lost,
 				Durable:    true,
+				Source:     m.storeSources[period],
 			})
 		}
 	}

@@ -96,8 +96,9 @@ func TestScanInPlaceAllocatesNothing(t *testing.T) {
 		t.Errorf("ScanTier allocated %v times per scan", n)
 	}
 	// A window aggregate allocates a fixed amount — the planner's
-	// metadata snapshot, the tier label, the fold state — however many
-	// records it folds: none of them is copied out.
+	// metadata snapshot and the fold state — however many records it
+	// folds: none of them is copied out. A tier read allocates no more
+	// than a raw one: its label was built with the tier.
 	aggAllocs := func(start, end float64) float64 {
 		return testing.AllocsPerRun(50, func() { m.windowPartial(start, end) })
 	}
@@ -106,6 +107,9 @@ func TestScanInPlaceAllocatesNothing(t *testing.T) {
 	}
 	if one, all := aggAllocs(0, 25), aggAllocs(0, 1000); one != all {
 		t.Errorf("a tier window aggregate allocated %v times over one bucket, %v over every bucket", one, all)
+	}
+	if raw, tier := aggAllocs(30, 60), aggAllocs(0, 1000); tier > raw {
+		t.Errorf("a tier window aggregate allocated %v times, a raw one %v", tier, raw)
 	}
 	if n := testing.AllocsPerRun(50, func() { m.arch.tiers[0].buckets(20, 65) }); n != 1 {
 		t.Errorf("buckets allocated %v times, want exactly one", n)

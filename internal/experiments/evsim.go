@@ -9,48 +9,46 @@ import (
 	"fluxpower/internal/flux/job"
 )
 
-// EvsimRow is one fleet size of the event-core scaling benchmark: the
-// host wall-clock cost of simulating one second of cluster time, on both
-// engines, with the active-job count held fixed while idle nodes grow.
+// EvsimRow is one fleet size of the simulation-core scaling benchmark:
+// the host wall-clock cost of simulating one second of cluster time,
+// with the active-job count held fixed while idle nodes grow.
 type EvsimRow struct {
 	Nodes      int
 	ActiveJobs int
 	SimSec     float64
-	// TickWallMs / EventWallMs are the host milliseconds each engine spent
-	// advancing the measurement window (cluster construction excluded).
-	TickWallMs  float64
-	EventWallMs float64
-	// TickMsPerSimSec / EventMsPerSimSec normalize to wall milliseconds
-	// per simulated second.
-	TickMsPerSimSec  float64
-	EventMsPerSimSec float64
-	// EventRatio is this row's event-engine cost relative to the smallest
-	// fleet's — the "flat cost" number the suite gates at 3x.
-	EventRatio float64
+	// WallMs is the host milliseconds spent advancing the measurement
+	// window (cluster construction excluded).
+	WallMs float64
+	// MsPerSimSec normalizes WallMs to wall milliseconds per simulated
+	// second.
+	MsPerSimSec float64
+	// Ratio is this row's cost relative to the smallest fleet's — the
+	// "flat cost" number the suite gates at 3x.
+	Ratio float64
 }
 
-// EvsimResult is the event-core scaling benchmark.
+// EvsimResult is the simulation-core scaling benchmark.
 type EvsimResult struct {
 	Rows []EvsimRow
-	// MaxRatio is the gate: the largest EventRatio observed (how much the
+	// MaxRatio is the gate: the largest Ratio observed (how much the
 	// per-simulated-second cost grew from the smallest to the largest
 	// fleet at fixed active work).
 	MaxRatio float64
 }
 
 // evsimMaxRatio is the acceptance bound: growing the idle fleet 50x may
-// cost at most this factor in wall-clock per simulated second. A
-// tick-style engine whose cost scaled with fleet size would blow far
-// past it; the discrete-event core, whose cost follows active work,
-// stays near 1x.
+// cost at most this factor in wall-clock per simulated second. The
+// fixed-step core advances running jobs only, and module timers only
+// fire where modules are loaded, so its cost follows active work and
+// stays near 1x; a core that touched every node each step would blow
+// far past it.
 const evsimMaxRatio = 3.0
 
 // Evsim measures wall-clock-per-simulated-second as idle nodes grow with
 // the active-job count pinned. Each fleet size runs the same 64 two-node
-// jobs (long GEMMs that never finish inside the window) on the tick
-// engine and on the event engine; only the simulation window is timed.
-// It errors when the event engine's cost is not flat (MaxRatio above
-// 3x), which is what gates the benchmark in CI.
+// jobs (long GEMMs that never finish inside the window); only the
+// simulation window is timed. It errors when the cost is not flat
+// (MaxRatio above 3x), which is what gates the benchmark in CI.
 func Evsim(o Options) (*EvsimResult, error) {
 	o = o.withDefaults()
 	sizes := []int{1000, 8000, 50000}
@@ -64,40 +62,33 @@ func Evsim(o Options) (*EvsimResult, error) {
 	for _, n := range sizes {
 		row := EvsimRow{Nodes: n, ActiveJobs: activeJobs, SimSec: simWindow.Seconds()}
 		var err error
-		if row.TickWallMs, err = evsimOne(cluster.EngineTick, n, activeJobs, o.Seed, simWindow); err != nil {
-			return nil, fmt.Errorf("evsim: tick engine, %d nodes: %w", n, err)
+		if row.WallMs, err = evsimOne(n, activeJobs, o.Seed, simWindow); err != nil {
+			return nil, fmt.Errorf("evsim: %d nodes: %w", n, err)
 		}
-		if row.EventWallMs, err = evsimOne(cluster.EngineEvent, n, activeJobs, o.Seed, simWindow); err != nil {
-			return nil, fmt.Errorf("evsim: event engine, %d nodes: %w", n, err)
-		}
-		row.TickMsPerSimSec = row.TickWallMs / row.SimSec
-		row.EventMsPerSimSec = row.EventWallMs / row.SimSec
+		row.MsPerSimSec = row.WallMs / row.SimSec
 		res.Rows = append(res.Rows, row)
 	}
-	base := res.Rows[0].EventMsPerSimSec
+	base := res.Rows[0].MsPerSimSec
 	for i := range res.Rows {
 		if base > 0 {
-			res.Rows[i].EventRatio = res.Rows[i].EventMsPerSimSec / base
+			res.Rows[i].Ratio = res.Rows[i].MsPerSimSec / base
 		}
-		if res.Rows[i].EventRatio > res.MaxRatio {
-			res.MaxRatio = res.Rows[i].EventRatio
-		}
+		res.MaxRatio = max(res.MaxRatio, res.Rows[i].Ratio)
 	}
 	if res.MaxRatio > evsimMaxRatio {
-		return res, fmt.Errorf("evsim: event-engine cost grew %.2fx from %d to the largest fleet (gate %.1fx): %s",
+		return res, fmt.Errorf("evsim: cost grew %.2fx from %d to the largest fleet (gate %.1fx): %s",
 			res.MaxRatio, sizes[0], evsimMaxRatio, res.RenderCSV())
 	}
 	return res, nil
 }
 
-// evsimOne builds one cluster on the given engine, starts the fixed
-// active set, and times a RunFor window.
-func evsimOne(engine string, nodes, activeJobs int, seed int64, window time.Duration) (float64, error) {
+// evsimOne builds one cluster, starts the fixed active set, and times a
+// RunFor window.
+func evsimOne(nodes, activeJobs int, seed int64, window time.Duration) (float64, error) {
 	c, err := cluster.New(cluster.Config{
 		System: cluster.Lassen,
 		Nodes:  nodes,
 		Seed:   seed,
-		Engine: engine,
 	})
 	if err != nil {
 		return 0, err
@@ -123,13 +114,11 @@ func (r *EvsimResult) tabular() ([]string, [][]string) {
 			fmt.Sprintf("%d", row.Nodes),
 			fmt.Sprintf("%d", row.ActiveJobs),
 			f0(row.SimSec),
-			f2(row.TickMsPerSimSec),
-			f2(row.EventMsPerSimSec),
-			f2(row.EventRatio),
+			f2(row.MsPerSimSec),
+			f2(row.Ratio),
 		})
 	}
-	return []string{"nodes", "active_jobs", "sim_s",
-		"tick_wall_ms_per_sim_s", "event_wall_ms_per_sim_s", "event_ratio_vs_base"}, rows
+	return []string{"nodes", "active_jobs", "sim_s", "wall_ms_per_sim_s", "ratio_vs_base"}, rows
 }
 
 // Render prints the benchmark.
@@ -137,7 +126,7 @@ func (r *EvsimResult) Render() string {
 	header, rows := r.tabular()
 	return "Evsim: wall-clock cost per simulated second vs fleet size (fixed 64 active jobs)\n" +
 		table(header, rows) +
-		fmt.Sprintf("event-engine cost follows active work, not fleet size: max growth %.2fx (gate %.1fx).\n",
+		fmt.Sprintf("cost follows active work, not fleet size: max growth %.2fx (gate %.1fx).\n",
 			r.MaxRatio, evsimMaxRatio)
 }
 

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestEvsimQuick runs the event-core scaling benchmark at quick scale and
-// gates the flat-cost acceptance bound: Evsim itself errors when the
-// event engine's wall-clock-per-simulated-second grows more than 3x as
+// TestEvsimQuick runs the simulation-core scaling benchmark at quick
+// scale and gates the flat-cost acceptance bound: Evsim itself errors
+// when the wall-clock-per-simulated-second grows more than 3x as
 // the idle fleet grows at fixed active work. CI runs the full 1k/8k/50k
 // sweep through the CLI; this keeps the gate in every plain test run.
 func TestEvsimQuick(t *testing.T) {
@@ -22,15 +22,15 @@ func TestEvsimQuick(t *testing.T) {
 		if row.ActiveJobs != 64 {
 			t.Fatalf("active jobs = %d, want 64", row.ActiveJobs)
 		}
-		if row.TickWallMs <= 0 || row.EventWallMs <= 0 {
+		if row.WallMs <= 0 {
 			t.Fatalf("missing wall measurements: %+v", row)
 		}
 	}
 	if res.MaxRatio <= 0 || res.MaxRatio > evsimMaxRatio {
 		t.Fatalf("max ratio %.2f outside (0, %.1f]", res.MaxRatio, evsimMaxRatio)
 	}
-	if !strings.Contains(res.Render(), "event_wall_ms_per_sim_s") {
-		t.Fatal("render missing event wall column")
+	if !strings.Contains(res.Render(), "wall_ms_per_sim_s") {
+		t.Fatal("render missing wall column")
 	}
 	js, err := res.RenderJSON()
 	if err != nil {

@@ -112,7 +112,6 @@ func queryOne(nodes int, seed int64, window time.Duration) (QueryRow, error) {
 		System: cluster.Lassen,
 		Nodes:  nodes,
 		Seed:   seed,
-		Engine: cluster.EngineEvent,
 		WrapLink: func(from, to int32, l transport.Link) transport.Link {
 			if to != 0 {
 				return l

@@ -21,6 +21,9 @@ type TierMeta struct {
 	// Durable marks tiers read from the on-disk store rather than the
 	// in-memory archive.
 	Durable bool `json:"durable,omitempty"`
+	// Source labels the tier's reads (see TierSource). The source builds
+	// it once, where it creates the tier; every plan shares it.
+	Source string `json:"-"`
 }
 
 // SourceMeta is the planner's view of one node's storage: what
@@ -73,10 +76,11 @@ const (
 	SourceStoreRaw = "tsdb:raw" // durable raw blocks
 )
 
-// tierSource labels a tier read: "tier:60" in-memory, "tsdb:600" durable.
-func tierSource(t TierMeta) string {
-	period := strconv.FormatFloat(t.PeriodSec, 'g', -1, 64)
-	if t.Durable {
+// TierSource labels a tier's reads: "tier:60" in-memory, "tsdb:600"
+// durable.
+func TierSource(periodSec float64, durable bool) string {
+	period := strconv.FormatFloat(periodSec, 'g', -1, 64)
+	if durable {
 		return "tsdb:" + period
 	}
 	return "tier:" + period
@@ -106,7 +110,7 @@ func selectLocal(meta SourceMeta, start, end float64) localPlan {
 	for i := range meta.Tiers {
 		t := &meta.Tiers[i]
 		if start >= t.LostEndSec {
-			return localPlan{tier: t, source: tierSource(*t), complete: true}
+			return localPlan{tier: t, source: t.Source, complete: true}
 		}
 	}
 	if raw := selectRaw(meta, start); raw.useStoreRaw && raw.complete && short {
@@ -114,7 +118,7 @@ func selectLocal(meta SourceMeta, start, end float64) localPlan {
 	}
 	if n := len(meta.Tiers); n > 0 {
 		t := &meta.Tiers[n-1]
-		return localPlan{tier: t, source: tierSource(*t), complete: false}
+		return localPlan{tier: t, source: t.Source, complete: false}
 	}
 	return localPlan{useRaw: true, source: SourceRaw, complete: start > meta.RawLostTs}
 }

@@ -75,6 +75,39 @@ func TestSelectTierBoundaries(t *testing.T) {
 	}
 }
 
+// TestCrashedStoreAnswersNoTierRead: after Crash every tier read answers
+// as SelectRange does — nothing — so no planner reads a tier log from a
+// store that can no longer serve its raw blocks.
+func TestCrashedStoreAnswersNoTierRead(t *testing.T) {
+	s, err := Open(t.TempDir(), testConfig()) // 60 s tier
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := appendN(t, s, 1000, 0)
+	if err := s.Maintain(want[len(want)-1].Timestamp); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.TierRecords(60)) == 0 {
+		t.Fatal("no tier buckets before the crash")
+	}
+	s.Crash()
+	if _, err := s.SelectRange(math.Inf(-1), math.Inf(1)); err == nil {
+		t.Fatal("SelectRange answered after Crash")
+	}
+	if got := s.SelectTier(60, math.Inf(-1), math.Inf(1)); len(got) != 0 {
+		t.Fatalf("SelectTier answered %d buckets after Crash", len(got))
+	}
+	if got := s.TierRecords(60); len(got) != 0 {
+		t.Fatalf("TierRecords answered %d buckets after Crash", len(got))
+	}
+	if ps := s.TierPeriods(); len(ps) != 0 {
+		t.Fatalf("TierPeriods = %v after Crash", ps)
+	}
+	if _, _, ok := s.TierCoverage(60); ok {
+		t.Fatal("TierCoverage ok after Crash")
+	}
+}
+
 // TestSelectTierAcrossGCWatermark: GC deletes raw blocks but never tier
 // logs, so a window reaching below the loss watermark still reads
 // buckets there — the planner's "coarse history outlives raw history"

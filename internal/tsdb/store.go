@@ -638,16 +638,21 @@ func (s *Store) All() ([]variorum.NodePower, error) {
 }
 
 // TierRecords returns the persisted compaction buckets for one period,
-// oldest first, read back from the tier log.
+// oldest first, read back from the tier log; none once the store is
+// closed.
 func (s *Store) TierRecords(periodSec float64) []variorum.Bucket {
 	return s.SelectTier(periodSec, math.Inf(-1), math.Inf(1))
 }
 
 // TierPeriods returns the configured compaction periods, finest first —
-// the durable resolutions a query planner can choose from.
+// the durable resolutions a query planner can choose from. A closed
+// store offers none.
 func (s *Store) TierPeriods() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
 	out := append([]float64(nil), s.cfg.TierPeriodsSec...)
 	sort.Float64s(out)
 	return out
@@ -659,21 +664,26 @@ func (s *Store) TierPeriods() []float64 {
 // deletes raw blocks, never tier logs), so this is the read path for
 // windows that have aged out of both the raw ring and the raw blocks.
 // Only the byte range of the log that the resident index brackets is
-// read (see readTier).
+// read (see readTier). A closed store returns nothing, as SelectRange
+// fails.
 func (s *Store) SelectTier(periodSec, start, end float64) []variorum.Bucket {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
 	return s.readTier(s.tier(periodSec), start, end)
 }
 
 // TierCoverage reports how far back one period's persisted buckets
 // reach: the StartSec of the oldest bucket and the EndSec of the newest.
-// ok is false when the period has no buckets yet (or is not configured).
+// ok is false when the period has no buckets yet, is not configured, or
+// the store is closed.
 func (s *Store) TierCoverage(periodSec float64) (firstStartSec, lastEndSec float64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.tier(periodSec)
-	if t == nil || t.count == 0 {
+	if s.closed || t == nil || t.count == 0 {
 		return 0, 0, false
 	}
 	return t.first, t.through, true
