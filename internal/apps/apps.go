@@ -237,9 +237,6 @@ func (in *Instance) expectedTime() float64 {
 // repetition scaling.
 func (in *Instance) ExpectedTimeSec() float64 { return in.totalWork }
 
-// Profile returns the application profile.
-func (in *Instance) Profile() Profile { return in.profile }
-
 // Progress returns completed work in equivalent seconds.
 func (in *Instance) Progress() float64 { return in.progress }
 

@@ -344,9 +344,6 @@ func onRecord(fn func(job.Record)) broker.EventHandler {
 	}
 }
 
-// Arch returns the cluster's node architecture.
-func (c *Cluster) Arch() hw.Arch { return c.arch }
-
 // Node returns the simulated hardware of a rank.
 func (c *Cluster) Node(rank int32) *hw.Node { return c.nodes[rank] }
 

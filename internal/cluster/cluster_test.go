@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -256,8 +257,11 @@ func TestRunUntilIdleQueuedJobIsNotDrained(t *testing.T) {
 
 // TestCloseDrainsInFlightAdvance pins the Close race fix: Close from a
 // second goroutine must drain a RunFor advancing jobs mid-flight instead
-// of racing the tick callback (run under -race). The subtest is named for
-// the fixed-step tick engine it drives.
+// of racing the tick callback (run under -race). A timer 30 s into the
+// run issues Close while that RunFor is inside a tick and holds it there
+// until Close has switched the tick off, so Close always lands on an
+// advance in flight. The subtest is named for the fixed-step tick engine
+// it drives.
 func TestCloseDrainsInFlightAdvance(t *testing.T) {
 	t.Run("tick", func(t *testing.T) {
 		c, err := New(Config{System: Lassen, Nodes: 4, Seed: 9})
@@ -267,17 +271,33 @@ func TestCloseDrainsInFlightAdvance(t *testing.T) {
 		if _, err := c.Submit(job.Spec{App: "gemm", Nodes: 4, RepFactor: 10}); err != nil {
 			t.Fatal(err)
 		}
+		const run = 5 * time.Minute
+		inFlight := make(chan struct{})
+		c.Sched.AfterFunc(30*time.Second, func(simtime.Time) {
+			close(inFlight)
+			for !c.closed.Load() {
+				runtime.Gosched()
+			}
+		})
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			// A long advance with thousands of ticks in flight.
-			c.RunFor(5 * time.Minute)
+			c.RunFor(run)
 		}()
+		<-inFlight
 		c.Close()
+		// Close waited for the advance: its whole run has elapsed.
+		if now := c.Sched.Now(); now != simtime.Time(0).Add(run) {
+			t.Fatalf("Close returned at %v with the advance still in flight", now)
+		}
 		<-done
-		// The job may legitimately still be "running" if Close landed before
-		// it finished, but its tick is stopped, so its stats cannot move.
+		// The job had run for 30 s when Close switched its tick off: it
+		// integrated some of the run, not all of it.
 		st1, _ := c.Stats(1)
+		if st1.sampleSec <= 0 || st1.sampleSec >= run.Seconds() {
+			t.Fatalf("job integrated %v s by Close, want strictly between 0 and %v", st1.sampleSec, run.Seconds())
+		}
+		// Its tick is stopped, so its stats cannot move.
 		c.RunFor(10 * time.Second)
 		if st2, _ := c.Stats(1); st1.sampleSec != st2.sampleSec {
 			t.Fatalf("job advanced after Close: %v s -> %v s integrated", st1.sampleSec, st2.sampleSec)

@@ -11,6 +11,7 @@ import (
 
 	"fluxpower/internal/flux/broker"
 	"fluxpower/internal/flux/msg"
+	"fluxpower/internal/query"
 	"fluxpower/internal/stats"
 	"fluxpower/internal/variorum"
 )
@@ -91,30 +92,22 @@ func (c *Client) StatusContext(ctx context.Context) (InstanceStatus, error) {
 	return st, nil
 }
 
-// Status fetches the root-agent's instance-wide broker health report.
-//
-// Deprecated: use StatusContext; this delegates to it with a background
-// context.
-func (c *Client) Status() (InstanceStatus, error) {
-	return c.StatusContext(context.Background())
-}
-
 // CollectNodeContext asks one node-agent directly for its raw samples in
 // [startSec, endSec] (endSec 0 = now). This is the rank-addressed window
 // query the gateway's /v1/nodes/{rank}/power endpoint serves; job queries
 // should go through QueryContext, which matches the job's window and
 // ranks automatically.
 func (c *Client) CollectNodeContext(ctx context.Context, rank int32, startSec, endSec float64) (NodeSamples, error) {
-	resp, err := c.b.CallContext(ctx, rank, "power-monitor.collect",
-		collectRequest{StartSec: startSec, EndSec: endSec})
+	resp, err := c.b.CallContext(ctx, rank, query.FetchService,
+		query.PlanSpec{StartSec: startSec, EndSec: endSec})
 	if err != nil {
 		return NodeSamples{}, err
 	}
-	var ns NodeSamples
-	if err := resp.Unmarshal(&ns); err != nil {
+	var reply query.FetchReply
+	if err := resp.Unmarshal(&reply); err != nil {
 		return NodeSamples{}, err
 	}
-	return ns, nil
+	return nodeSamples(reply), nil
 }
 
 // CSVHeader is the column layout of WriteCSV.

@@ -75,20 +75,16 @@ func testCrashRawBlocks(t *testing.T) {
 		ringSumW += p.TotalWatts()
 	}
 
-	resp, err := c.Inst.Root().Call(1, "power-monitor.collect", collectRequest{StartSec: start, EndSec: end})
+	ns, err := NewClient(c.Inst.Root()).CollectNodeContext(context.Background(), 1, start, end)
 	if err != nil {
 		t.Fatalf("collect: %v", err)
-	}
-	var ns NodeSamples
-	if err := resp.Unmarshal(&ns); err != nil {
-		t.Fatal(err)
 	}
 	if ns.Complete || ns.Source != "" || len(ns.Samples) != len(ring) {
 		t.Fatalf("collect: complete=%v source=%q %d samples, want the ring's %d, incomplete",
 			ns.Complete, ns.Source, len(ns.Samples), len(ring))
 	}
 
-	body, _ := json.Marshal(collectRequest{StartSec: start, EndSec: end})
+	body, _ := json.Marshal(query.PlanSpec{StartSec: start, EndSec: end})
 	agg, err := m.localWindowAgg(body, nil)
 	if err != nil {
 		t.Fatalf("aggregate: %v", err)
@@ -131,7 +127,7 @@ func testCrashTierLogs(t *testing.T) {
 	end := c.Now().Seconds()
 	start := end - 240
 	m := mons[1]
-	body, _ := json.Marshal(collectRequest{StartSec: start, EndSec: end})
+	body, _ := json.Marshal(query.PlanSpec{StartSec: start, EndSec: end})
 	const expr = `sum(sum_over_time(node_power_watts{rank="1"}[4m]))`
 	agg, err := m.localWindowAgg(body, nil)
 	if err != nil || !agg.Complete || agg.CoarsestTierSec != 60 {

@@ -276,7 +276,7 @@ func (m *Module) Init(ctx *broker.Context) error {
 	}); err != nil {
 		return err
 	}
-	if err := ctx.RegisterService("power-monitor.collect", m.handleCollect); err != nil {
+	if err := ctx.RegisterService(query.FetchService, m.handleCollect); err != nil {
 		return err
 	}
 	if err := ctx.RegisterService("power-monitor.stats", m.handleStats); err != nil {
@@ -356,8 +356,15 @@ type StoreStatus struct {
 	Health  tsdb.Health `json:"health,omitempty"`
 }
 
+// rankStatus is a rank's whole status reply: its store's health and
+// its broker's, so the root-agent's status costs one RPC per rank.
+type rankStatus struct {
+	StoreStatus
+	Broker broker.Health `json:"broker"`
+}
+
 func (m *Module) handleStoreStatus(req *broker.Request) {
-	out := StoreStatus{Rank: m.ctx.Rank()}
+	out := rankStatus{StoreStatus: StoreStatus{Rank: m.ctx.Rank()}, Broker: m.ctx.Broker().Health()}
 	m.mu.Lock()
 	if m.store != nil {
 		out.Enabled = true
@@ -380,42 +387,26 @@ type InstanceStatus struct {
 	Stores      []StoreStatus   `json:"stores,omitempty"`
 }
 
-// handleStatus (rank 0 only) fans broker.health probes to every rank —
-// the same concurrent fan-out/fan-in discipline as queryRaw, so a dead
-// subtree costs one CollectTimeout, not one per rank.
+// handleStatus (rank 0 only) gathers every rank's status reply, so a
+// dead subtree costs one CollectTimeout, not one per rank.
 func (m *Module) handleStatus(req *broker.Request) {
 	size := m.ctx.Size()
-	futures := make([]*broker.Future, size)
-	storeFutures := make([]*broker.Future, size)
-	for rank := int32(0); rank < size; rank++ {
-		futures[rank] = m.ctx.RPCWithTimeout(rank, "broker.health", nil, m.cfg.CollectTimeout)
-		storeFutures[rank] = m.ctx.RPCWithTimeout(rank, "power-monitor.store-status", nil, m.cfg.CollectTimeout)
+	ranks := make([]int32, size)
+	for i := range ranks {
+		ranks[i] = int32(i)
 	}
 	out := InstanceStatus{Size: size}
-	for rank := int32(0); rank < size; rank++ {
-		resp, err := futures[rank].Wait(m.cfg.CollectTimeout)
-		if err != nil {
+	m.ctx.Broker().Gather(ranks, "power-monitor.store-status", nil, m.cfg.CollectTimeout, func(rank int32, resp *msg.Message, err error) {
+		var rs rankStatus
+		if err != nil || resp.Unmarshal(&rs) != nil {
 			out.Unreachable = append(out.Unreachable, rank)
-			continue
+			return
 		}
-		var h broker.Health
-		if err := resp.Unmarshal(&h); err != nil {
-			out.Unreachable = append(out.Unreachable, rank)
-			continue
+		out.Ranks = append(out.Ranks, rs.Broker)
+		if rs.Enabled {
+			out.Stores = append(out.Stores, rs.StoreStatus)
 		}
-		out.Ranks = append(out.Ranks, h)
-	}
-	for rank := int32(0); rank < size; rank++ {
-		resp, err := storeFutures[rank].Wait(m.cfg.CollectTimeout)
-		if err != nil {
-			continue // the rank is already listed unreachable above
-		}
-		var ss StoreStatus
-		if err := resp.Unmarshal(&ss); err != nil || !ss.Enabled {
-			continue
-		}
-		out.Stores = append(out.Stores, ss)
-	}
+	})
 	_ = req.Respond(out)
 }
 
@@ -424,12 +415,6 @@ func (m *Module) Samples() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.samples
-}
-
-// collectRequest asks a node-agent for its samples in a time window.
-type collectRequest struct {
-	StartSec float64 `json:"start_sec"`
-	EndSec   float64 `json:"end_sec"` // 0 = now (job still running)
 }
 
 // NodeSamples is one node's contribution to a job query.
@@ -444,11 +429,11 @@ type NodeSamples struct {
 	Samples []variorum.NodePower `json:"samples"`
 }
 
-// window resolves a collect or aggregate request to the absolute window
-// [start, end]; an end of 0 means now. NaN compares false everywhere, so
-// non-finite bounds are refused before any comparison, as is a window
-// that ends before it starts.
-func (m *Module) window(req collectRequest) (start, end float64, err error) {
+// window resolves a raw read's or an aggregate's window to the absolute
+// [start, end]; an end of 0 means now (the job is still running). NaN
+// compares false everywhere, so non-finite bounds are refused before any
+// comparison, as is a window that ends before it starts.
+func (m *Module) window(req query.PlanSpec) (start, end float64, err error) {
 	if !query.IsFinite(req.StartSec) || !query.IsFinite(req.EndSec) {
 		return 0, 0, errors.New("powermon: start/end must be finite")
 	}
@@ -462,30 +447,49 @@ func (m *Module) window(req collectRequest) (start, end float64, err error) {
 	return req.StartSec, end, nil
 }
 
-// handleCollect answers a node's raw samples in a window from the
-// resolution query.ReadRaw plans: the ring, the durable blocks once the
-// ring has lost the window start, the ring again, incomplete, when the
-// store cannot answer.
+// handleCollect is the node-agent's one read (query.FetchService). A
+// request with no expression asks for the raw samples of a window, from
+// the resolution query.ReadRaw plans: the ring, the durable blocks once
+// the ring has lost the window start, the ring again, incomplete, when
+// the store cannot answer. A request with an expression is a query plan
+// and gets the records query.ReadPlan selects on this rank.
 func (m *Module) handleCollect(req *broker.Request) {
-	var body collectRequest
-	if err := req.Msg.Unmarshal(&body); err != nil {
+	var spec query.PlanSpec
+	if err := req.Msg.Unmarshal(&spec); err != nil {
 		_ = req.Fail(msg.EINVAL, err.Error())
 		return
 	}
-	start, end, err := m.window(body)
+	out := query.FetchReply{Rank: m.ctx.Rank()}
+	if spec.Expr != "" {
+		data, err := query.ReadPlan(m, spec, out.Rank)
+		if err != nil {
+			_ = req.Fail(msg.EINVAL, err.Error())
+			return
+		}
+		out.LocalData = data
+		_ = req.Respond(out)
+		return
+	}
+	start, end, err := m.window(spec)
 	if err != nil {
 		_ = req.Fail(msg.EINVAL, err.Error())
 		return
 	}
-	data := query.ReadRaw(m, start, end)
-	out := NodeSamples{Rank: m.ctx.Rank(), Complete: data.Complete, Samples: data.Samples}
-	if data.Source == query.SourceStoreRaw {
-		out.Source = "tsdb"
-	}
+	out.LocalData = query.ReadRaw(m, start, end)
 	if node, ok := m.ctx.Local().(*hw.Node); ok {
 		out.Hostname = node.Name()
 	}
 	_ = req.Respond(out)
+}
+
+// nodeSamples is a raw read's reply as a job query's per-node series:
+// a durable read is labelled "tsdb", a ring read not at all.
+func nodeSamples(r query.FetchReply) NodeSamples {
+	ns := NodeSamples{Rank: r.Rank, Hostname: r.Hostname, Complete: r.Complete, Samples: r.Samples}
+	if r.Source == query.SourceStoreRaw {
+		ns.Source = "tsdb"
+	}
+	return ns
 }
 
 // handleStats reports the node-agent's ring state — the operational
@@ -542,7 +546,7 @@ type AggPartial struct {
 
 // localWindowAgg is the reduction's Local: this node's window aggregate.
 func (m *Module) localWindowAgg(body, _ json.RawMessage) (AggPartial, error) {
-	var req collectRequest
+	var req query.PlanSpec
 	if len(body) > 0 {
 		if err := json.Unmarshal(body, &req); err != nil {
 			return AggPartial{}, err
@@ -742,42 +746,26 @@ func (m *Module) handleQuery(req *broker.Request) {
 	}
 }
 
-// queryRaw fans collect requests to the job's node-agents over the TBON
-// and gathers every sample — the paper's flat CSV path.
+// queryRaw gathers the job's window from each of its node-agents over
+// the TBON — the paper's flat CSV path.
 func (m *Module) queryRaw(req *broker.Request, body queryRequest) {
 	rec, ok := m.resolveJob(req, body.JobID)
 	if !ok {
 		return
 	}
 	result := JobPower{JobID: rec.ID, App: rec.Spec.App, StartSec: rec.Start, EndSec: rec.End}
-	creq := collectRequest{StartSec: rec.Start, EndSec: rec.End}
-	// Fan-out/fan-in: issue every collect RPC before awaiting any, so the
-	// gather costs one round-trip to the slowest node instead of the sum
-	// over all nodes, and a dead node costs one CollectTimeout total —
-	// each future's deadline was armed at issue time, so the waits below
-	// expire concurrently, not back to back.
-	futures := make([]*broker.Future, len(rec.Ranks))
-	for i, rank := range rec.Ranks {
-		futures[i] = m.ctx.RPCWithTimeout(rank, "power-monitor.collect", creq, m.cfg.CollectTimeout)
-	}
-	for i, rank := range rec.Ranks {
-		ns := NodeSamples{Rank: rank}
-		resp, err := futures[i].Wait(m.cfg.CollectTimeout)
-		if err != nil {
-			// A node that cannot answer (unreachable, timed out, or
-			// erroring) contributes an explicit empty/incomplete series
-			// rather than failing the query.
-			result.Nodes = append(result.Nodes, ns)
-			continue
+	window := query.PlanSpec{StartSec: rec.Start, EndSec: rec.End}
+	m.ctx.Broker().Gather(rec.Ranks, query.FetchService, window, m.cfg.CollectTimeout, func(rank int32, resp *msg.Message, err error) {
+		// A node that cannot answer (unreachable, timed out, erroring or
+		// garbled) contributes an explicit empty incomplete series
+		// rather than failing the query.
+		var reply query.FetchReply
+		if err != nil || resp.Unmarshal(&reply) != nil {
+			result.Nodes = append(result.Nodes, NodeSamples{Rank: rank})
+			return
 		}
-		if err := resp.Unmarshal(&ns); err != nil {
-			// Unmarshal may have partially filled ns before failing;
-			// reset to an explicit empty incomplete record so a corrupt
-			// response cannot masquerade as complete data.
-			ns = NodeSamples{Rank: rank}
-		}
-		result.Nodes = append(result.Nodes, ns)
-	}
+		result.Nodes = append(result.Nodes, nodeSamples(reply))
+	})
 	_ = req.Respond(result)
 }
 
@@ -790,7 +778,7 @@ func (m *Module) queryAggregate(req *broker.Request, body queryRequest) {
 		return
 	}
 	res, err := m.reducer.Reduce(rec.Ranks,
-		collectRequest{StartSec: rec.Start, EndSec: rec.End}, m.cfg.CollectTimeout)
+		query.PlanSpec{StartSec: rec.Start, EndSec: rec.End}, m.cfg.CollectTimeout)
 	if err != nil {
 		_ = req.Fail(msg.EPROTO, err.Error())
 		return

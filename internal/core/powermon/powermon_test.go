@@ -2,6 +2,7 @@ package powermon
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"fluxpower/internal/flux/broker"
 	"fluxpower/internal/flux/job"
 	"fluxpower/internal/flux/msg"
+	"fluxpower/internal/query"
 	"fluxpower/internal/simtime"
 )
 
@@ -229,6 +231,66 @@ func TestStatelessAgentKeepsSamplingWithoutJobs(t *testing.T) {
 	}
 }
 
+// TestCollectOldStyleBody pins the read's wire compatibility: a
+// {"start_sec","end_sec"} body sent by topic name, as the chaos
+// checker and examples/livemode send it, answers the window's raw
+// samples with the node's hostname. The reply is the per-rank read's
+// FetchReply; decoded as NodeSamples it still carries the samples and
+// hostname those callers read.
+func TestCollectOldStyleBody(t *testing.T) {
+	c := monitored(t, cluster.Lassen, 2, Config{})
+	c.RunFor(20 * time.Second)
+	resp, err := c.Inst.Root().Call(1, "power-monitor.collect", map[string]float64{
+		"start_sec": 0, "end_sec": 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply query.FetchReply
+	if err := resp.Unmarshal(&reply); err != nil {
+		t.Fatal(err)
+	}
+	if reply.Rank != 1 || reply.Hostname != "lassen1" || reply.Source != query.SourceRaw ||
+		!reply.Complete || len(reply.Samples) != 10 || len(reply.Buckets) != 0 {
+		t.Fatalf("reply rank %d hostname %q source %q complete=%v %d samples %d buckets, want rank 1's 10 raw samples",
+			reply.Rank, reply.Hostname, reply.Source, reply.Complete, len(reply.Samples), len(reply.Buckets))
+	}
+	var ns NodeSamples
+	if err := resp.Unmarshal(&ns); err != nil {
+		t.Fatal(err)
+	}
+	if ns.Hostname != "lassen1" || len(ns.Samples) != 10 {
+		t.Fatalf("as NodeSamples: hostname %q, %d samples", ns.Hostname, len(ns.Samples))
+	}
+}
+
+// TestStatusOneRPCPerRank: the root-agent's status asks each rank once,
+// its store and broker health in one reply, so a status served to a
+// client on another rank raises the root's issued RPCs by the instance
+// size and still reports every rank's broker health.
+func TestStatusOneRPCPerRank(t *testing.T) {
+	const size = 6
+	c := monitored(t, cluster.Lassen, size, Config{})
+	c.RunFor(10 * time.Second)
+	root := c.Inst.Root()
+	before := root.Stats().RPCsIssued
+	st, err := NewClient(c.Inst.Broker(1)).StatusContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := root.Stats().RPCsIssued - before; got != size {
+		t.Fatalf("status raised the root's issued RPCs by %d, want %d (one per rank)", got, size)
+	}
+	if st.Size != size || len(st.Ranks) != size || len(st.Unreachable) != 0 {
+		t.Fatalf("status: size %d, %d ranks, unreachable %v", st.Size, len(st.Ranks), st.Unreachable)
+	}
+	for i, h := range st.Ranks {
+		if h.Rank != int32(i) || h.Modules == 0 {
+			t.Fatalf("rank %d health %+v", i, h)
+		}
+	}
+}
+
 func TestCollectWindowValidation(t *testing.T) {
 	c := monitored(t, cluster.Lassen, 1, Config{})
 	c.RunFor(5 * time.Second)
@@ -240,7 +302,7 @@ func TestCollectWindowValidation(t *testing.T) {
 	// JSON cannot carry a non-finite bound, but the collect and the
 	// aggregate's Local share the window rule that refuses one.
 	m := New(Config{})
-	for _, w := range []collectRequest{
+	for _, w := range []query.PlanSpec{
 		{StartSec: math.NaN(), EndSec: 5},
 		{StartSec: 0, EndSec: math.NaN()},
 		{StartSec: math.Inf(-1), EndSec: 5},

@@ -47,7 +47,7 @@ const evsimMaxRatio = 3.0
 // Evsim measures wall-clock-per-simulated-second as idle nodes grow with
 // the active-job count pinned. Each fleet size runs the same 64 two-node
 // jobs (long GEMMs that never finish inside the window); only the
-// simulation window is timed. It errors when the cost is not flat
+// simulation window is timed, after one untimed base-size run. It errors when the cost is not flat
 // (MaxRatio above 3x), which is what gates the benchmark in CI.
 func Evsim(o Options) (*EvsimResult, error) {
 	o = o.withDefaults()
@@ -58,6 +58,12 @@ func Evsim(o Options) (*EvsimResult, error) {
 		simWindow = 10 * time.Second
 	}
 	const activeJobs = 64
+	// One untimed window at the base size first: the process's first
+	// cluster pays its warm-up (heap growth, first-use allocations), and
+	// a base row that absorbed it would make every ratio look flatter.
+	if _, err := evsimOne(sizes[0], activeJobs, o.Seed, simWindow); err != nil {
+		return nil, fmt.Errorf("evsim: warm-up: %w", err)
+	}
 	res := &EvsimResult{}
 	for _, n := range sizes {
 		row := EvsimRow{Nodes: n, ActiveJobs: activeJobs, SimSec: simWindow.Seconds()}

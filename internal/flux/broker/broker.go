@@ -722,6 +722,23 @@ func (b *Broker) CallContext(ctx context.Context, nodeID int32, topic string, pa
 	return f.WaitContext(ctx)
 }
 
+// Gather is the flat fan-out/fan-in: it sends topic with body to every
+// rank in ranks before waiting on any, then hands each rank's response
+// or error to each, in the order of ranks. Every deadline is armed at
+// issue, so the waits expire together: the gather costs one round trip
+// to the slowest rank, and a dead rank costs one timeout in total, not
+// one per rank.
+func (b *Broker) Gather(ranks []int32, topic string, body any, timeout time.Duration, each func(rank int32, resp *msg.Message, err error)) {
+	futures := make([]*Future, len(ranks))
+	for i, rank := range ranks {
+		futures[i] = b.RPCWithTimeout(rank, topic, body, timeout)
+	}
+	for i, rank := range ranks {
+		resp, err := futures[i].Wait(timeout)
+		each(rank, resp, err)
+	}
+}
+
 // Deliver injects a message into this broker, as a transport would. It
 // routes or dispatches as appropriate.
 func (b *Broker) Deliver(m *msg.Message) {

@@ -279,3 +279,39 @@ func TestWallProvider(t *testing.T) {
 		t.Fatal("timer created after Close fired")
 	}
 }
+
+// TestLiveGatherWaitsOnceForHungRanks: Gather issues every request
+// before waiting on any, so three ranks that never answer cost one
+// timeout together, not one each; every rank's outcome reaches each in
+// the order of ranks, the hung ones as errors.
+func TestLiveGatherWaitsOnceForHungRanks(t *testing.T) {
+	li := newLive(t, 5, 2, nil)
+	for _, r := range []int32{1, 3, 4} {
+		if err := li.Broker(r).RegisterService("test.hang", func(*Request) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := li.Broker(2).RegisterService("test.hang", func(req *Request) { _ = req.Respond(nil) }); err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 500 * time.Millisecond
+	var order []int32
+	var answered []int32
+	start := time.Now()
+	li.Root().Gather([]int32{4, 2, 3, 1}, "test.hang", nil, timeout, func(rank int32, _ *msg.Message, err error) {
+		order = append(order, rank)
+		if err == nil {
+			answered = append(answered, rank)
+		}
+	})
+	elapsed := time.Since(start)
+	if len(order) != 4 || order[0] != 4 || order[1] != 2 || order[2] != 3 || order[3] != 1 {
+		t.Fatalf("outcomes in order %v, want [4 2 3 1]", order)
+	}
+	if len(answered) != 1 || answered[0] != 2 {
+		t.Fatalf("answered %v, want only rank 2", answered)
+	}
+	if elapsed >= 2*timeout {
+		t.Fatalf("three hung ranks took %v at a %v timeout: the waits ran back to back", elapsed, timeout)
+	}
+}

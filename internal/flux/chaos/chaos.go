@@ -147,7 +147,6 @@ type Injector struct {
 	mu        sync.Mutex
 	timers    simtime.TimerProvider
 	armed     bool
-	armSec    float64
 	disarmSec float64
 	stats     Stats
 	partIn    []map[int32]bool
@@ -167,9 +166,6 @@ func New(plan Plan) *Injector {
 	return in
 }
 
-// Plan returns the injector's plan (for failure reporting).
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Bind attaches the instance's time source. Must be called before Arm;
 // it is separate from New because the scheduler is created by the same
 // cluster constructor that needs WrapLink.
@@ -187,7 +183,6 @@ func (in *Injector) Arm() {
 		panic("chaos: Arm before Bind")
 	}
 	in.armed = true
-	in.armSec = in.timers.Now().Seconds()
 }
 
 // Disarm stops injecting; links pass messages through untouched. Held
@@ -206,13 +201,6 @@ func (in *Injector) Armed() bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.armed
-}
-
-// ArmedSince returns the instant of the last Arm, in instance seconds.
-func (in *Injector) ArmedSince() float64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.armSec
 }
 
 // DisarmedAt returns the instant of the last Disarm, in instance seconds

@@ -2,6 +2,7 @@ package chaos_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -43,17 +44,14 @@ func buildStoreCluster(t *testing.T, size int, dir string) (*cluster.Cluster, []
 }
 
 // collectAll fetches a rank's full sample history through the product
-// query path (power-monitor.collect with an unbounded window).
+// query path (the monitor's raw read with an unbounded window).
 func collectAll(t *testing.T, c *cluster.Cluster, rank int32) powermon.NodeSamples {
 	t.Helper()
-	resp, err := c.Inst.Root().CallTimeout(rank, "power-monitor.collect",
-		map[string]float64{"start_sec": 0, "end_sec": 1e9}, 2*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	ns, err := powermon.NewClient(c.Inst.Root()).CollectNodeContext(ctx, rank, 0, 1e9)
 	if err != nil {
 		t.Fatalf("collect rank %d: %v", rank, err)
-	}
-	var ns powermon.NodeSamples
-	if err := resp.Unmarshal(&ns); err != nil {
-		t.Fatalf("collect decode rank %d: %v", rank, err)
 	}
 	return ns
 }

@@ -192,9 +192,6 @@ func (r *Reducer[P]) ReduceRanked(targets []int32, body any, rankBodies map[int3
 	return out, nil
 }
 
-// Topic returns the registered reduction topic.
-func (r *Reducer[P]) Topic() string { return r.topic }
-
 // handle serves the topic on every rank: run the subtree reduction and
 // respond with the combined partial, encoded once.
 func (r *Reducer[P]) handle(req *broker.Request) {

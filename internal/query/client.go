@@ -72,26 +72,20 @@ func (c *Client) Plan(expr string, startSec, endSec float64) (PlanSpec, error) {
 
 // FetchAll gathers every rank's plan-selected records with a flat
 // fan-out — the raw-fetch baseline the pushdown is measured against,
-// and the reference evaluator's input. Ranks that cannot answer are
+// and the reference evaluator's input. The power monitor serves the
+// read, so the engine need not be loaded. Ranks that cannot answer are
 // simply absent from the result.
 func (c *Client) FetchAll(spec PlanSpec, size int32) []FetchReply {
-	// Issue every RPC before awaiting any, so dead ranks time out
-	// concurrently rather than back to back.
-	futures := make([]*broker.Future, size)
-	for rank := int32(0); rank < size; rank++ {
-		futures[rank] = c.b.RPCWithTimeout(rank, FetchService, spec, c.timeout)
+	ranks := make([]int32, size)
+	for i := range ranks {
+		ranks[i] = int32(i)
 	}
 	out := make([]FetchReply, 0, size)
-	for rank := int32(0); rank < size; rank++ {
-		resp, err := futures[rank].Wait(c.timeout)
-		if err != nil {
-			continue
-		}
+	c.b.Gather(ranks, FetchService, spec, c.timeout, func(_ int32, resp *msg.Message, err error) {
 		var reply FetchReply
-		if err := resp.Unmarshal(&reply); err != nil {
-			continue
+		if err == nil && resp.Unmarshal(&reply) == nil {
+			out = append(out, reply)
 		}
-		out = append(out, reply)
-	}
+	})
 	return out
 }

@@ -21,13 +21,15 @@ const ModuleName = "power-query"
 const ReduceTopic = "power-query.reduce"
 
 // Services. Eval and Plan live on rank 0 (the only rank that can root a
-// whole-instance reduction); Fetch is per-rank and ships the rank's
-// plan-selected records verbatim — the raw-fetch baseline, and the
-// reference evaluator's input.
+// whole-instance reduction). Fetch is the one per-rank read, served by
+// the power monitor on every rank whether or not this engine is loaded:
+// with a plan it ships the rank's plan-selected records verbatim (see
+// ReadPlan) — the raw-fetch baseline, and the reference evaluator's
+// input; without an expression it answers raw samples (ReadRaw).
 const (
 	EvalService  = "power-query.eval"
 	PlanService  = "power-query.plan"
-	FetchService = "power-query.fetch"
+	FetchService = "power-monitor.collect"
 )
 
 // DefaultTimeout bounds one whole evaluation.
@@ -76,8 +78,8 @@ func (m *Module) Name() string { return ModuleName }
 // Shutdown implements broker.Module.
 func (m *Module) Shutdown() error { return nil }
 
-// Init implements broker.Module: registers the reduce combiner and the
-// fetch service on every rank, the eval/plan services on rank 0.
+// Init implements broker.Module: registers the reduce combiner on every
+// rank, the eval/plan services on rank 0.
 func (m *Module) Init(ctx *broker.Context) error {
 	m.ctx = ctx
 	if m.cfg.Source == nil {
@@ -95,9 +97,6 @@ func (m *Module) Init(ctx *broker.Context) error {
 		return err
 	}
 	m.reducer = r
-	if err := ctx.RegisterService(FetchService, m.handleFetch); err != nil {
-		return err
-	}
 	if ctx.Rank() == 0 {
 		if err := ctx.RegisterService(EvalService, m.handleEval); err != nil {
 			return err
@@ -109,19 +108,6 @@ func (m *Module) Init(ctx *broker.Context) error {
 	return nil
 }
 
-// parsePlan decodes a plan body and parses its expression.
-func parsePlan(body json.RawMessage) (*Expr, PlanSpec, error) {
-	var spec PlanSpec
-	if err := json.Unmarshal(body, &spec); err != nil {
-		return nil, PlanSpec{}, err
-	}
-	e, err := Parse(spec.Expr)
-	if err != nil {
-		return nil, PlanSpec{}, err
-	}
-	return e, spec, nil
-}
-
 // localPartial is the reduce Local hook: plan, read, fold. body is the
 // plan without job windows; own is this rank's job windows, present
 // only for job-scoped queries and only on ranks that ran a job in the
@@ -129,7 +115,11 @@ func parsePlan(body json.RawMessage) (*Expr, PlanSpec, error) {
 // in a job-scoped query, answers an empty complete partial without
 // touching storage.
 func (m *Module) localPartial(body, own json.RawMessage) (Partial, error) {
-	e, spec, err := parsePlan(body)
+	var spec PlanSpec
+	if err := json.Unmarshal(body, &spec); err != nil {
+		return Partial{}, err
+	}
+	e, err := Parse(spec.Expr)
 	if err != nil {
 		return Partial{}, err
 	}
@@ -149,24 +139,6 @@ func (m *Module) localPartial(body, own json.RawMessage) (Partial, error) {
 		}
 	}
 	return foldSource(m.src, e, spec.StartSec, spec.EndSec, jobs, rank), nil
-}
-
-// handleFetch ships this rank's plan-selected records — what the
-// pushdown would have folded locally, unfolded. It takes the full plan
-// and skips the read on exactly the ranks localPartial skips.
-func (m *Module) handleFetch(req *broker.Request) {
-	e, spec, err := parsePlan(req.Msg.Payload)
-	if err != nil {
-		_ = req.Fail(msg.EINVAL, err.Error())
-		return
-	}
-	rank := m.ctx.Rank()
-	reply := FetchReply{Rank: rank, LocalData: LocalData{Complete: true}}
-	if rankSelected(e, rank) && (!e.NeedsJobs() || len(rankJobs(e, spec, rank)) > 0) {
-		lp := selectLocal(m.src.QueryMeta(), spec.StartSec, spec.EndSec)
-		reply.LocalData = readPlanned(m.src, lp, spec.StartSec, spec.EndSec, nil, nil)
-	}
-	_ = req.Respond(reply)
 }
 
 // handleEval evaluates an expression across the instance: resolve the

@@ -227,3 +227,34 @@ func TestQueryBadRequests(t *testing.T) {
 		t.Fatal("empty window accepted")
 	}
 }
+
+// TestFetchAllWithoutEngine: the per-rank read is the power monitor's,
+// so a cluster running monitors and no query engine still answers
+// FetchAll on every rank, with the records a plan selects there and no
+// hostname on a plan read.
+func TestFetchAllWithoutEngine(t *testing.T) {
+	const size = 4
+	c, err := cluster.New(cluster.Config{System: cluster.Lassen, Nodes: size, Seed: 7})
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.Inst.LoadModuleAll(func(int32) broker.Module {
+		return powermon.New(powermon.Config{SampleInterval: 2 * time.Second})
+	}); err != nil {
+		t.Fatalf("load monitor: %v", err)
+	}
+	c.RunFor(5 * time.Minute)
+	end := c.Now().Seconds()
+	spec := query.PlanSpec{Expr: "sum(avg_over_time(node_power_watts[4m]))", StartSec: end - 240, EndSec: end}
+	replies := query.NewClient(c.Inst.Root()).FetchAll(spec, size)
+	if len(replies) != size {
+		t.Fatalf("%d of %d ranks answered", len(replies), size)
+	}
+	for i, r := range replies {
+		if r.Rank != int32(i) || r.Source != query.SourceRaw || !r.Complete || len(r.Samples) != 121 || r.Hostname != "" {
+			t.Fatalf("rank %d: reply rank %d source %q complete=%v %d samples hostname %q, want its ring's 121 samples",
+				i, r.Rank, r.Source, r.Complete, len(r.Samples), r.Hostname)
+		}
+	}
+}

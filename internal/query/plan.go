@@ -158,12 +158,14 @@ func (w JobWindow) contains(r int32) bool {
 // PlanSpec is the resolved query: the canonical expression (each rank
 // re-parses it — expressions are small, records are not), the absolute
 // window, and the job windows the root resolved once so every rank
-// attributes identically. Plan and Fetch carry it whole. The pushdown
+// attributes identically. Plan and Fetch carry it whole; a Fetch
+// without an expression is a raw read of the window, the monitor's
+// collect, so its body is the collect's {start_sec, end_sec}. The pushdown
 // ships it down the reduce tree without Jobs and sends each rank only
 // its own windows, without their rank lists, as that rank's reduce
 // body: a rank decodes the windows it ran, not every job's.
 type PlanSpec struct {
-	Expr     string      `json:"expr"`
+	Expr     string      `json:"expr,omitempty"`
 	StartSec float64     `json:"start_sec"`
 	EndSec   float64     `json:"end_sec"`
 	Jobs     []JobWindow `json:"jobs,omitempty"`
@@ -181,9 +183,12 @@ type LocalData struct {
 	Complete bool                 `json:"complete"`
 }
 
-// FetchReply is one rank's LocalData, tagged with its origin.
+// FetchReply is one rank's answer to the per-rank read (FetchService):
+// its LocalData, tagged with its origin. Hostname is set on raw reads
+// only, so plan reads ship no more than the records.
 type FetchReply struct {
-	Rank int32 `json:"rank"`
+	Rank     int32  `json:"rank"`
+	Hostname string `json:"hostname,omitempty"`
 	LocalData
 }
 
@@ -230,9 +235,25 @@ func readPlanned(src Source, lp localPlan, start, end float64, sample func(*vari
 }
 
 // ReadRaw copies out a node's raw samples in [start, end] as selectRaw
-// plans them: the monitor's collect.
+// plans them: the per-rank read without an expression.
 func ReadRaw(src Source, start, end float64) LocalData {
 	return readPlanned(src, selectRaw(src.QueryMeta(), start), start, end, nil, nil)
+}
+
+// ReadPlan copies out the records spec selects on rank: what the
+// pushdown folds there, unfolded. A rank the rank matcher excludes, or
+// one without a job window in a job-scoped plan, reads nothing and
+// answers empty and complete, as its reduce Local does.
+func ReadPlan(src Source, spec PlanSpec, rank int32) (LocalData, error) {
+	e, err := Parse(spec.Expr)
+	if err != nil {
+		return LocalData{}, err
+	}
+	if !rankSelected(e, rank) || (e.NeedsJobs() && len(rankJobs(e, spec, rank)) == 0) {
+		return LocalData{Complete: true}, nil
+	}
+	lp := selectLocal(src.QueryMeta(), spec.StartSec, spec.EndSec)
+	return readPlanned(src, lp, spec.StartSec, spec.EndSec, nil, nil), nil
 }
 
 // Visit plans [start, end] on src as the pushdown does and hands each

@@ -160,20 +160,6 @@ func NewDispatcher(pool *Pool, policy Policy, budgetW float64) *Dispatcher {
 	}
 }
 
-// Policy returns the active policy.
-func (d *Dispatcher) Policy() Policy {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.policy
-}
-
-// BudgetW returns the configured budget (0 = unlimited).
-func (d *Dispatcher) BudgetW() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.budgetW
-}
-
 // Dispatch consults the policy over the queue and admits the surviving
 // selection, allocating nodes for each admitted job. Unknown IDs,
 // duplicates, jobs the pool cannot seat, and — decisively — jobs whose
@@ -230,13 +216,6 @@ func (d *Dispatcher) Release(id uint64, ranks []int32) {
 		d.predictedW = 0
 	}
 	delete(d.jobW, id)
-}
-
-// FreeCount returns the pool's unallocated node count.
-func (d *Dispatcher) FreeCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.pool.FreeCount()
 }
 
 // Stats is a point-in-time dispatcher summary for status RPCs.

@@ -89,9 +89,6 @@ type Timer struct {
 // callback (the periodic re-arm checks the flag) and safe to call twice.
 func (t *Timer) Stop() { t.stopped = true }
 
-// Deadline returns the instant the timer will next fire.
-func (t *Timer) Deadline() Time { return t.deadline }
-
 // shard is one event queue: a binary heap of timers plus the shard's own
 // creation-order counter and free list of pooled timers.
 type shard struct {
@@ -221,15 +218,6 @@ func (s *Scheduler) nextShard() *shard {
 		}
 	}
 	return best
-}
-
-// NextDeadline returns the earliest pending live deadline, if any.
-func (s *Scheduler) NextDeadline() (Time, bool) {
-	sh := s.nextShard()
-	if sh == nil {
-		return 0, false
-	}
-	return sh.queue[0].deadline, true
 }
 
 // Advance moves simulated time forward by d, firing every due timer in
