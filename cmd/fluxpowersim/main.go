@@ -26,24 +26,20 @@ type result interface{ Render() string }
 
 type csvResult interface{ RenderCSV() string }
 
-type jsonResult interface{ RenderJSON() (string, error) }
-
-// experiment is one registry entry. csv and json come from the result
-// type, so an unsupported -format fails before the experiment runs.
+// experiment is one registry entry. csv comes from the result type, so
+// an unsupported -format fails before the experiment runs.
 type experiment struct {
-	run       func(experiments.Options) (result, error)
-	csv, json bool
+	run func(experiments.Options) (result, error)
+	csv bool
 }
 
 // wrap adapts an experiment entry point to the registry.
 func wrap[R result](f func(experiments.Options) (R, error)) experiment {
 	var zero R
 	_, csv := any(zero).(csvResult)
-	_, json := any(zero).(jsonResult)
 	return experiment{
-		run:  func(o experiments.Options) (result, error) { return f(o) },
-		csv:  csv,
-		json: json,
+		run: func(o experiments.Options) (result, error) { return f(o) },
+		csv: csv,
 	}
 }
 
@@ -100,12 +96,8 @@ var registry = map[string]experiment{
 	"scale":  wrap(experiments.Scale),
 	"chaos":  wrap(experiments.Chaos),
 	"heal":   wrap(experiments.Heal),
-	"serve":  wrap(experiments.Serve),
 	"store":  wrap(experiments.Store),
 	"policy": wrap(experiments.Policy),
-	"evsim":  wrap(experiments.Evsim),
-	"query":  wrap(experiments.Query),
-	"fanout": wrap(experiments.Fanout),
 }
 
 func names() []string {
@@ -125,13 +117,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	exp := fs.String("exp", "", "experiment to run: "+strings.Join(names(), ", ")+", or 'all'")
 	quick := fs.Bool("quick", false, "shrink sweeps/repetitions for a fast run")
-	format := fs.String("format", "text", "output format: text, csv (table2, table3, table4, scale, sweep, ...), or json (evsim)")
+	format := fs.String("format", "text", "output format: text or csv (table2, table3, table4, scale, sweep, ...)")
 	seed := fs.Int64("seed", experiments.DefaultSeed, "simulation seed")
 	list := fs.Bool("list", false, "list experiments and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
+	if *format != "text" && *format != "csv" {
+		fmt.Fprintf(stderr, "fluxpowersim: unknown -format %q (have text, csv)\n", *format)
+		return 2
+	}
 	if *list {
 		for _, n := range names() {
 			fmt.Fprintln(stdout, n)
@@ -153,12 +149,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "fluxpowersim: unknown experiment %q (have %s)\n", name, strings.Join(names(), ", "))
 			return 2
 		}
-		switch {
-		case *format == "csv" && !e.csv:
+		if *format == "csv" && !e.csv {
 			fmt.Fprintf(stderr, "fluxpowersim: %q has no CSV rendering\n", name)
-			return 2
-		case *format == "json" && !e.json:
-			fmt.Fprintf(stderr, "fluxpowersim: %q has no JSON rendering\n", name)
 			return 2
 		}
 		out, err := render(e, opts, *format)
@@ -166,29 +158,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "fluxpowersim: %s: %v\n", name, err)
 			return 1
 		}
-		if *format == "json" {
-			// Raw machine-readable output: no banner, pipeable straight to
-			// an artifact file (BENCH_evsim.json).
-			fmt.Fprint(stdout, out)
-			continue
-		}
 		fmt.Fprintf(stdout, "==== %s ====\n%s\n", name, out)
 	}
 	return 0
 }
 
-// render runs one experiment and renders its result in format; any
-// format other than csv or json renders text.
+// render runs one experiment and renders its result as text or csv.
 func render(e experiment, opts experiments.Options, format string) (string, error) {
 	r, err := e.run(opts)
 	if err != nil {
 		return "", err
 	}
-	switch format {
-	case "csv":
+	if format == "csv" {
 		return r.(csvResult).RenderCSV(), nil
-	case "json":
-		return r.(jsonResult).RenderJSON()
 	}
 	return r.Render(), nil
 }

@@ -97,26 +97,29 @@ func TestRunExperimentEndToEnd(t *testing.T) {
 }
 
 func TestRenderingSets(t *testing.T) {
-	// The CSV and JSON sets follow from each result type; pin them so a
-	// registry change cannot drop a rendering unnoticed.
-	cases := []struct {
-		format string
-		has    func(experiment) bool
-		want   string
-	}{
-		{"csv", func(e experiment) bool { return e.csv },
-			"chaos evsim fanout heal policy query scale serve store sweep table2 table3 table4"},
-		{"json", func(e experiment) bool { return e.json }, "evsim fanout query"},
-	}
-	for _, tc := range cases {
-		var got []string
-		for _, name := range names() {
-			if tc.has(registry[name]) {
-				got = append(got, name)
-			}
+	// The CSV set follows from each result type; pin it so a registry
+	// change cannot drop a rendering unnoticed.
+	var got []string
+	for _, name := range names() {
+		if registry[name].csv {
+			got = append(got, name)
 		}
-		if strings.Join(got, " ") != tc.want {
-			t.Errorf("%s set = %v, want %s", tc.format, got, tc.want)
+	}
+	if want := "chaos heal policy scale store sweep table2 table3 table4"; strings.Join(got, " ") != want {
+		t.Errorf("csv set = %v, want %s", got, want)
+	}
+}
+
+func TestUnknownFormatExitsTwo(t *testing.T) {
+	// Only text and csv render; any other -format is a usage error,
+	// reported before any experiment runs.
+	for _, format := range []string{"json", "xml"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-exp", "table2", "-quick", "-format", format}, &stdout, &stderr); code != 2 {
+			t.Fatalf("-format %s exited %d, want 2", format, code)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "text, csv") || stdout.Len() != 0 {
+			t.Fatalf("-format %s: stderr %q, stdout %q", format, msg, stdout.String())
 		}
 	}
 }

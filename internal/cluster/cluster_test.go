@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -231,6 +232,79 @@ func TestFullLassenScale(t *testing.T) {
 	// Idle draw of the full machine: 792 x 400 W ≈ 317 kW.
 	if tp := c.TotalPowerW(); math.Abs(tp-792*400) > 1000 {
 		t.Fatalf("idle machine power %.0f W", tp)
+	}
+}
+
+// simCostMaxRatio bounds the wall-clock cost per simulated second when
+// the idle fleet grows at fixed active work. The fixed-step core
+// advances running jobs only, and module timers fire only where modules
+// are loaded, so the cost follows active work and stays near 1x; a core
+// that touched every node each step would blow far past it.
+const simCostMaxRatio = 3.0
+
+// TestSimCostFlatAsIdleFleetGrows holds 64 active two-node GEMMs while
+// the idle fleet grows from 1 k to 50 k nodes (1 k to 4 k under -race,
+// where the full sweep takes over 40 s) and times RunFor windows at each
+// size. It fails when any size costs more than simCostMaxRatio times the
+// base size per simulated second.
+func TestSimCostFlatAsIdleFleetGrows(t *testing.T) {
+	sizes, window := []int{1000, 8000, 50000}, 30*time.Second
+	if raceEnabled {
+		sizes, window = []int{1000, 4000}, 10*time.Second
+	}
+	const activeJobs, rounds = 64, 9
+	clusters := make([]*Cluster, len(sizes))
+	for i, n := range sizes {
+		c, err := New(Config{System: Lassen, Nodes: n, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		for j := 0; j < activeJobs; j++ {
+			// RepFactor 100 GEMMs run for hours of simulated time: the
+			// active set stays the same through every window.
+			if _, err := c.Submit(job.Spec{App: "gemm", Nodes: 2, RepFactor: 100}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.RunFor(time.Second) // dispatch and first demand installs
+		clusters[i] = c
+	}
+	// A window takes 5-15 ms of wall clock, and the host's speed drifts by
+	// up to 2x over tens of milliseconds. So the sizes take turns, one
+	// window each per round, and a size's cost is the median over rounds
+	// of its ratio to the same round's base window. Round 0 is untimed:
+	// the first windows pay the warm-up (heap growth, first-use
+	// allocations), and a base that absorbed it would make every ratio
+	// look flatter.
+	ms := make([][]float64, len(sizes))
+	ratios := make([][]float64, len(sizes))
+	for r := 0; r <= rounds; r++ {
+		took := make([]float64, len(sizes))
+		for i, c := range clusters {
+			start := time.Now()
+			c.RunFor(window)
+			took[i] = float64(time.Since(start)) / float64(time.Millisecond) / window.Seconds()
+		}
+		for i := range sizes {
+			if r > 0 {
+				ms[i] = append(ms[i], took[i])
+				ratios[i] = append(ratios[i], took[i]/took[0])
+			}
+		}
+	}
+	median := func(v []float64) float64 {
+		slices.Sort(v)
+		return v[len(v)/2]
+	}
+	var maxRatio float64
+	for i, n := range sizes {
+		ratio := median(ratios[i])
+		maxRatio = max(maxRatio, ratio)
+		t.Logf("%6d nodes  %d active jobs  %.0f sim s  %.2f wall ms/sim s  %.2fx base", n, activeJobs, window.Seconds(), median(ms[i]), ratio)
+	}
+	if maxRatio > simCostMaxRatio {
+		t.Fatalf("cost grew %.2fx from %d nodes to the largest fleet (bound %.1fx)", maxRatio, sizes[0], simCostMaxRatio)
 	}
 }
 

@@ -138,19 +138,6 @@ func TestGoldenRenderTimelines(t *testing.T) {
 	checkGolden(t, "fig5_timelines", got)
 }
 
-func TestGoldenServe(t *testing.T) {
-	r := &ServeResult{Nodes: 8, Rows: []ServeRow{
-		{Clients: 64, Requests: 1024, RootRPCs: 52, Amplification: 0.051,
-			P50Ms: 0.012, P95Ms: 0.084, P99Ms: 0.312,
-			CacheHits: 960, Coalesced: 48, Upstream: 16},
-		{Clients: 512, Requests: 8192, RootRPCs: 60, Amplification: 0.007,
-			P50Ms: 0.011, P95Ms: 0.102, P99Ms: 0.455,
-			CacheHits: 8000, Coalesced: 176, Upstream: 16},
-	}}
-	checkGolden(t, "serve", r.Render())
-	checkGolden(t, "serve_csv", r.RenderCSV())
-}
-
 func TestGoldenStore(t *testing.T) {
 	r := &StoreResult{
 		Samples: 120000, IngestPerSec: 97701, DiskBytes: 286336,

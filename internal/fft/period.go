@@ -5,19 +5,10 @@ import (
 	"math"
 )
 
-// PeriodDetector estimates the dominant period of a sampled power signal.
-// FPP's FFT-GET-PERIOD procedure (Algorithm 1, lines 1-10) is built on
-// this: a change in the detected period signals that the current power cap
-// is stretching the application's phases.
-type PeriodDetector interface {
-	// DetectPeriod returns the dominant period, in seconds, of the signal
-	// sampled at interval dtSeconds. ok is false when no periodic
-	// component stands out (flat signals like GEMM or LAMMPS).
-	DetectPeriod(samples []float64, dtSeconds float64) (periodSeconds float64, ok bool, err error)
-}
-
 // SpectralDetector finds the strongest non-DC spectral peak. This is the
-// detector FPP ships with.
+// detector FPP ships with: its FFT-GET-PERIOD procedure (Algorithm 1,
+// lines 1-10) reads a change in the detected period as the current power
+// cap stretching the application's phases.
 type SpectralDetector struct {
 	// MinProminence is the minimum ratio between the peak bin magnitude
 	// and the mean non-DC magnitude for the signal to count as periodic.
@@ -31,7 +22,9 @@ const DefaultMinProminence = 4.0
 
 var errBadInterval = errors.New("fft: non-positive sampling interval")
 
-// DetectPeriod implements PeriodDetector.
+// DetectPeriod returns the dominant period, in seconds, of the signal
+// sampled at interval dtSeconds. ok is false when no periodic component
+// stands out (flat signals like GEMM or LAMMPS).
 func (d SpectralDetector) DetectPeriod(samples []float64, dtSeconds float64) (float64, bool, error) {
 	if len(samples) == 0 {
 		return 0, false, ErrEmpty
@@ -115,7 +108,8 @@ type AutocorrelationDetector struct {
 	MinCorrelation float64
 }
 
-// DetectPeriod implements PeriodDetector.
+// DetectPeriod has SpectralDetector.DetectPeriod's contract, read from
+// the first significant autocorrelation peak.
 func (d AutocorrelationDetector) DetectPeriod(samples []float64, dtSeconds float64) (float64, bool, error) {
 	if len(samples) == 0 {
 		return 0, false, ErrEmpty

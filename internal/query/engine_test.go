@@ -11,6 +11,7 @@ import (
 	"fluxpower/internal/core/powermon"
 	"fluxpower/internal/flux/broker"
 	"fluxpower/internal/flux/job"
+	"fluxpower/internal/flux/transport"
 	"fluxpower/internal/query"
 	"fluxpower/internal/tsdb"
 )
@@ -28,19 +29,24 @@ func buildQueryCluster(t *testing.T, size int, pmCfg powermon.Config) (*cluster.
 // monitor, for tests that read a Source directly.
 func queryCluster(t *testing.T, size int, pmCfg powermon.Config) (*cluster.Cluster, *query.Client, []*powermon.Module) {
 	t.Helper()
-	return queryClusterWith(t, size, pmCfg, func(_ int32, m *powermon.Module) query.Source { return m })
+	return queryClusterWith(t, lassen(size), pmCfg, func(_ int32, m *powermon.Module) query.Source { return m })
 }
 
-// queryClusterWith is queryCluster with each engine reading the Source
-// that wrap makes of its rank's monitor.
-func queryClusterWith(t *testing.T, size int, pmCfg powermon.Config, wrap func(int32, *powermon.Module) query.Source) (*cluster.Cluster, *query.Client, []*powermon.Module) {
+// lassen is the cluster config the query tests run on.
+func lassen(size int) cluster.Config {
+	return cluster.Config{System: cluster.Lassen, Nodes: size, Seed: 7}
+}
+
+// queryClusterWith is queryCluster on the cluster cfg describes, with
+// each engine reading the Source that wrap makes of its rank's monitor.
+func queryClusterWith(t *testing.T, cfg cluster.Config, pmCfg powermon.Config, wrap func(int32, *powermon.Module) query.Source) (*cluster.Cluster, *query.Client, []*powermon.Module) {
 	t.Helper()
-	c, err := cluster.New(cluster.Config{System: cluster.Lassen, Nodes: size, Seed: 7})
+	c, err := cluster.New(cfg)
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
 	t.Cleanup(c.Close)
-	mons := make([]*powermon.Module, size)
+	mons := make([]*powermon.Module, cfg.Nodes)
 	if err := c.Inst.LoadModuleAll(func(rank int32) broker.Module {
 		m := powermon.New(pmCfg)
 		mons[rank] = m
@@ -144,6 +150,102 @@ func TestQueryPushdownMatchesReference(t *testing.T) {
 	}
 	if len(res.Sources) != 1 || res.Sources[0] != query.SourceRaw {
 		t.Fatalf("short window should read the raw ring, got sources %v", res.Sources)
+	}
+}
+
+// TestQueryRootByteRatio answers one group-by-job query over a 24 h
+// window twice on 8, 32 and 64 nodes: by fetching every rank's
+// plan-selected records to the root, which ships O(nodes x buckets),
+// and by the pushdown, which ships O(fanout x groups). Four waves of
+// three jobs run across the window; 60 s samples and a ten-hour ring
+// put every node on its 10-minute tier. The answers must be identical,
+// and at 64 nodes the pushdown must cost the root link at least 10x
+// fewer bytes.
+func TestQueryRootByteRatio(t *testing.T) {
+	const window = 24 * time.Hour
+	const waves, jobsPerWave = 4, 3
+	expr := fmt.Sprintf("avg by (job) (avg_over_time(node_power_watts[%ds]))", int(window.Seconds()))
+	var ratio float64
+	for _, nodes := range []int{8, 32, 64} {
+		var rootIngress []*transport.Counter
+		cfg := lassen(nodes)
+		cfg.WrapLink = func(from, to int32, l transport.Link) transport.Link {
+			if to != 0 {
+				return l
+			}
+			ctr := transport.NewCounter(l)
+			rootIngress = append(rootIngress, ctr)
+			return ctr
+		}
+		ingress := func() (total uint64) {
+			for _, ctr := range rootIngress {
+				_, bytes := ctr.Stats()
+				total += bytes
+			}
+			return total
+		}
+		c, cl, _ := queryClusterWith(t, cfg, powermon.Config{
+			SampleInterval: time.Minute,
+			CollectTimeout: 5 * time.Second,
+			BufferSamples:  600,
+			Tiers: []powermon.TierSpec{
+				{Period: 10 * time.Minute, Buckets: 1100},
+				{Period: time.Hour, Buckets: 200},
+			},
+		}, func(_ int32, m *powermon.Module) query.Source { return m })
+		cl = cl.WithTimeout(5 * time.Minute)
+		for w := 0; w < waves; w++ {
+			for j := 0; j < jobsPerWave; j++ {
+				if _, err := c.Submit(job.Spec{App: "gemm", Nodes: max(nodes/4, 1), RepFactor: 4}); err != nil {
+					t.Fatalf("submit: %v", err)
+				}
+			}
+			c.RunFor(window / waves)
+		}
+		end := c.Now().Seconds()
+
+		spec, err := cl.Plan(expr, 0, end)
+		if err != nil {
+			t.Fatalf("plan: %v", err)
+		}
+		e, err := query.Parse(expr)
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		before := ingress()
+		replies := cl.FetchAll(spec, int32(nodes))
+		ref := query.EvalRecords(e, spec, replies, nodes)
+		fetchBytes := ingress() - before
+		if len(replies) != nodes {
+			t.Fatalf("%d nodes: fetch reached %d ranks", nodes, len(replies))
+		}
+		before = ingress()
+		res, err := cl.Eval(expr, 0, end)
+		if err != nil {
+			t.Fatalf("%d nodes: eval: %v", nodes, err)
+		}
+		pushBytes := ingress() - before
+
+		pushed, _ := json.Marshal(res)
+		want, _ := json.Marshal(ref)
+		switch {
+		case string(pushed) != string(want):
+			t.Fatalf("%d nodes:\npushdown  %s\nreference %s", nodes, pushed, want)
+		case res.Partial || !res.Complete:
+			t.Fatalf("%d nodes: partial=%v complete=%v on a healthy cluster", nodes, res.Partial, res.Complete)
+		case len(res.Groups) != waves*jobsPerWave:
+			t.Fatalf("%d nodes: %d groups, want one per job (%d)", nodes, len(res.Groups), waves*jobsPerWave)
+		case len(res.Sources) != 1 || res.Sources[0] != "tier:600":
+			t.Fatalf("%d nodes: sources %v, want the 10-minute tier", nodes, res.Sources)
+		case pushBytes == 0:
+			t.Fatalf("%d nodes: no pushdown bytes counted", nodes)
+		}
+		ratio = float64(fetchBytes) / float64(pushBytes)
+		t.Logf("%2d nodes  %d groups  fetch %.1f KiB  pushdown %.1f KiB  %.1fx", nodes, len(res.Groups),
+			float64(fetchBytes)/1024, float64(pushBytes)/1024, ratio)
+	}
+	if ratio < 10 {
+		t.Fatalf("64-node root byte ratio %.1fx, want at least 10x", ratio)
 	}
 }
 

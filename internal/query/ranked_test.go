@@ -59,7 +59,7 @@ func ownWindows(e *query.Expr, spec query.PlanSpec, rank int32) []query.JobWindo
 func TestPushdownShipsOnlyOwnWindows(t *testing.T) {
 	const size = 8
 	reads := make([]int, size)
-	c, cl, _ := queryClusterWith(t, size, powermon.Config{
+	c, cl, _ := queryClusterWith(t, lassen(size), powermon.Config{
 		SampleInterval: 2 * time.Second,
 		CollectTimeout: 2 * time.Second,
 	}, func(rank int32, m *powermon.Module) query.Source { return metaCounter{m, &reads[rank]} })
