@@ -93,10 +93,6 @@ var registry = map[string]experiment{
 	}),
 	"sweep":  wrap(experiments.BoundSweep),
 	"queue":  wrap(experiments.Queue),
-	"scale":  wrap(experiments.Scale),
-	"chaos":  wrap(experiments.Chaos),
-	"heal":   wrap(experiments.Heal),
-	"store":  wrap(experiments.Store),
 	"policy": wrap(experiments.Policy),
 }
 
@@ -117,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	exp := fs.String("exp", "", "experiment to run: "+strings.Join(names(), ", ")+", or 'all'")
 	quick := fs.Bool("quick", false, "shrink sweeps/repetitions for a fast run")
-	format := fs.String("format", "text", "output format: text or csv (table2, table3, table4, scale, sweep, ...)")
+	format := fs.String("format", "text", "output format: text or csv (table2, table3, table4, sweep, policy)")
 	seed := fs.Int64("seed", experiments.DefaultSeed, "simulation seed")
 	list := fs.Bool("list", false, "list experiments and exit")
 	if err := fs.Parse(args); err != nil {

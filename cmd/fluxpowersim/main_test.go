@@ -105,7 +105,7 @@ func TestRenderingSets(t *testing.T) {
 			got = append(got, name)
 		}
 	}
-	if want := "chaos heal policy scale store sweep table2 table3 table4"; strings.Join(got, " ") != want {
+	if want := "policy sweep table2 table3 table4"; strings.Join(got, " ") != want {
 		t.Errorf("csv set = %v, want %s", got, want)
 	}
 }

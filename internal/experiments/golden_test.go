@@ -138,28 +138,6 @@ func TestGoldenRenderTimelines(t *testing.T) {
 	checkGolden(t, "fig5_timelines", got)
 }
 
-func TestGoldenStore(t *testing.T) {
-	r := &StoreResult{
-		Samples: 120000, IngestPerSec: 97701, DiskBytes: 286336,
-		SealedBlocks: 234, BytesPerSample: 2.4,
-		CSVBytes: 11794569, Ratio: 0.024, RecoveryMs: 181.2,
-		RecoveredSamples: 120000,
-	}
-	checkGolden(t, "store", r.Render())
-	checkGolden(t, "store_csv", r.RenderCSV())
-}
-
-func TestGoldenHeal(t *testing.T) {
-	r := &HealResult{SimNodes: 64, LiveNodes: 16, Rows: []HealRow{
-		{Mode: "sim", Crashes: 1, HealSec: 0.85, Converged: true},
-		{Mode: "sim", Crashes: 2, HealSec: 0.95, Converged: true},
-		{Mode: "sim", Crashes: 8, HealSec: 1.8, Converged: true},
-		{Mode: "live-tcp", Crashes: 1, HealSec: 0.21, Converged: true},
-	}}
-	checkGolden(t, "heal", r.Render())
-	checkGolden(t, "heal_csv", r.RenderCSV())
-}
-
 func TestGoldenPolicy(t *testing.T) {
 	r := &PolicyResult{Nodes: 16, BudgetW: 18000, Jobs: 6, Rows: []PolicyRow{
 		{Scheme: "fcfs", MakespanSec: 461, ThroughputPerHr: 46.8,
@@ -174,14 +152,4 @@ func TestGoldenPolicy(t *testing.T) {
 	}}
 	checkGolden(t, "policy", r.Render())
 	checkGolden(t, "policy_csv", r.RenderCSV())
-}
-
-func TestGoldenChaos(t *testing.T) {
-	r := &ChaosResult{Nodes: 16, Rows: []ChaosRow{
-		{DropProb: 0, Queries: 15, OK: 15},
-		{DropProb: 0.05, Queries: 15, OK: 3, Partial: 12, AvgMissing: 1.4},
-		{DropProb: 0.4, Queries: 15, Partial: 14, Failed: 1, AvgMissing: 6.8},
-	}}
-	checkGolden(t, "chaos", r.Render())
-	checkGolden(t, "chaos_csv", r.RenderCSV())
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -297,7 +298,8 @@ func TestQuickDecodeRobustness(t *testing.T) {
 }
 
 // Property: ValidateTopic accepts exactly the strings whose dot-split
-// components are all non-empty.
+// components are all non-empty. A part may itself hold dots ("a.b"), so
+// the model splits the joined topic rather than checking the parts.
 func TestQuickValidateTopicModel(t *testing.T) {
 	f := func(parts []string) bool {
 		if len(parts) == 0 {
@@ -307,17 +309,14 @@ func TestQuickValidateTopicModel(t *testing.T) {
 			parts = parts[:6]
 		}
 		topic := strings.Join(parts, ".")
-		wantOK := true
-		if topic == "" {
-			wantOK = false
-		}
-		for _, p := range parts {
-			if p == "" || strings.Contains(p, ".") {
-				wantOK = false
-			}
-		}
+		wantOK := !slices.Contains(strings.Split(topic, "."), "")
 		err := ValidateTopic(topic)
 		return (err == nil) == wantOK
+	}
+	for _, parts := range [][]string{{"a.b"}, {".a"}, {"a."}, {"a..b"}} {
+		if !f(parts) {
+			t.Errorf("parts %q: ValidateTopic disagrees with the model", parts)
+		}
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
