@@ -29,11 +29,11 @@ type Allocation struct {
 // on nodes it does not hold). Use SpawnAllocationPolicy to pick a
 // different scheduling policy for the allocation.
 func (fc *Cluster) SpawnAllocation(name string, nodes int) (*Allocation, error) {
-	return fc.SpawnAllocationPolicy(name, nodes, SchedFCFS, 0)
+	return fc.SpawnAllocationPolicy(name, nodes, "", 0)
 }
 
 // SpawnAllocationPolicy boots an allocation whose own job manager runs
-// the named scheduling policy (SchedFCFS, SchedPowerAware, or any name
+// the named scheduling policy ("fcfs", "power-aware", or any name
 // registered with the sched package) against the given power budget in
 // watts. This is the paper's §I claim in API form: "different users can
 // choose different power-aware scheduling policies within their

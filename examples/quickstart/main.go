@@ -4,7 +4,9 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -13,6 +15,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is main minus the process exit; it writes the demo's output to w.
+func run(w io.Writer) error {
 	// A 4-node IBM AC922 ("Lassen") cluster. The power monitor is loaded
 	// on every node by default, sampling Variorum telemetry every 2 s.
 	c, err := fluxpower.NewCluster(fluxpower.Config{
@@ -21,7 +30,7 @@ func main() {
 		Seed:   42,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer c.Close()
 
@@ -34,34 +43,32 @@ func main() {
 		SizeFactor: 10,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Advance simulated time until the job completes.
 	if !c.RunUntilIdle(time.Hour) {
-		log.Fatal("job did not finish")
+		return errors.New("job did not finish")
 	}
 
 	// Ground-truth accounting from the cluster engine...
 	rep, err := c.Report(id)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("%s: %.1f s on %d nodes, avg %.0f W/node, %.1f kJ/node\n",
+	fmt.Fprintf(w, "%s: %.1f s on %d nodes, avg %.0f W/node, %.1f kJ/node\n",
 		rep.Name, rep.ExecSec, rep.Nodes, rep.AvgNodePowerW, rep.EnergyPerNodeJ/1000)
 
 	// ...and the monitor's view, aggregated over the TBON by the
 	// root-agent, exactly as the paper's client script receives it.
 	sum, err := c.JobPowerSummary(id)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("monitor: avg %.0f W/node (cpu %.0f, mem %.0f, gpu %.0f), complete=%v\n",
+	fmt.Fprintf(w, "monitor: avg %.0f W/node (cpu %.0f, mem %.0f, gpu %.0f), complete=%v\n",
 		sum.AvgNodePowerW, sum.AvgCPUW, sum.AvgMemW, sum.AvgGPUW, sum.Complete)
 
 	// The per-sample CSV (one row per node sample):
-	fmt.Println("\nCSV (first rows):")
-	if err := c.WriteJobCSV(os.Stdout, id); err != nil {
-		log.Fatal(err)
-	}
+	fmt.Fprintln(w, "\nCSV:")
+	return c.WriteJobCSV(w, id)
 }

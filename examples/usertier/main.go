@@ -9,13 +9,22 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"fluxpower"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is main minus the process exit; it writes the demo's output to w.
+func run(w io.Writer) error {
 	// System instance: 8 nodes, no power management configured at all.
 	sys, err := fluxpower.NewCluster(fluxpower.Config{
 		System: fluxpower.Lassen,
@@ -23,20 +32,20 @@ func main() {
 		Seed:   11,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer sys.Close()
 
 	// The user requests 4 nodes; the job becomes a nested Flux instance.
 	alloc, err := sys.SpawnAllocation("user-research", 4)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("allocation %d holds system ranks %v\n", alloc.ID(), alloc.Ranks())
+	fmt.Fprintf(w, "allocation %d holds system ranks %v\n", alloc.ID(), alloc.Ranks())
 
 	// The user's own power manager: proportional sharing, 4.8 kW budget.
 	if err := alloc.LoadPowerManager(fluxpower.PolicyProportional, 4*1200); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The user's own queue: two jobs, FCFS inside the allocation.
@@ -45,14 +54,14 @@ func main() {
 
 	sys.Run(5 * time.Second)
 	policy, budget, grants, _ := alloc.PowerStatus()
-	fmt.Printf("user policy=%s budget=%.0fW grants=%d\n", policy, budget, len(grants))
+	fmt.Fprintf(w, "user policy=%s budget=%.0fW grants=%d\n", policy, budget, len(grants))
 	for _, g := range grants {
-		fmt.Printf("  sub-job %d: %.0f W/node across %d nodes\n", g.JobID, g.PerNodeW, len(g.Ranks))
+		fmt.Fprintf(w, "  sub-job %d: %.0f W/node across %d nodes\n", g.JobID, g.PerNodeW, len(g.Ranks))
 	}
 	// User-level caps are live on the user's nodes only.
 	inAlloc, _ := sys.NodeStatus(alloc.Ranks()[0])
 	outside, _ := sys.NodeStatus(7)
-	fmt.Printf("gpu caps inside allocation: %v; outside: %v\n", inAlloc.GPUCapsW, outside.GPUCapsW)
+	fmt.Fprintf(w, "gpu caps inside allocation: %v; outside: %v\n", inAlloc.GPUCapsW, outside.GPUCapsW)
 
 	// Drain the user's queue, then release the allocation.
 	for !alloc.Idle() {
@@ -61,13 +70,14 @@ func main() {
 	for _, id := range []fluxpower.JobID{gemm, qs} {
 		rep, err := alloc.Report(id)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-8s %7.1f s  %6.0f W avg/node  %6.1f kJ/node\n",
+		fmt.Fprintf(w, "%-8s %7.1f s  %6.0f W avg/node  %6.1f kJ/node\n",
 			rep.Name, rep.ExecSec, rep.AvgNodePowerW, rep.EnergyPerNodeJ/1000)
 	}
 	if err := alloc.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("allocation released; system nodes uncapped again")
+	fmt.Fprintln(w, "allocation released; system nodes uncapped again")
+	return nil
 }

@@ -4,13 +4,11 @@
 //
 // It assembles, behind one façade, everything the paper's system needs: a
 // simulated cluster (Lassen- or Tioga-like nodes), a Flux-style resource
-// manager (brokers on a tree-based overlay network, job manager, and a
-// pluggable scheduling policy — FCFS baseline or power-aware dispatch
-// against predicted per-job draw, see Config.SchedPolicy), the
-// flux-power-monitor telemetry module, and the flux-power-manager with
-// its static, proportional-sharing and FFT-based (FPP) power policies
-// plus an optional closed-loop budget controller (Config.ClosedLoop)
-// that retunes per-job caps from observed draw.
+// manager (brokers on a tree-based overlay network and an FCFS job
+// manager), the flux-power-monitor telemetry module, and the
+// flux-power-manager with its static, proportional-sharing and FFT-based
+// (FPP) power policies. User-level allocations (SpawnAllocation) nest
+// their own job manager and power manager inside the system instance.
 //
 // Quickstart:
 //
@@ -40,7 +38,6 @@ import (
 	"fluxpower/internal/core/powermon"
 	"fluxpower/internal/flux/broker"
 	"fluxpower/internal/flux/job"
-	"fluxpower/internal/sched"
 )
 
 // System selects the modelled machine.
@@ -73,39 +70,9 @@ const (
 	PolicyFPP = powermgr.PolicyFPP
 )
 
-// Scheduling policies (Config.SchedPolicy). The policy decides which
-// queued jobs start; regardless of policy, the dispatcher centrally
-// refuses any admission whose predicted fleet draw would exceed
-// Config.SchedBudgetW.
-const (
-	// SchedFCFS is strict first-come-first-served with no backfill —
-	// the paper's baseline ("Flux schedules these jobs as any regular
-	// resource manager would", §IV-E).
-	SchedFCFS = sched.PolicyFCFS
-	// SchedPowerAware admits jobs against predicted per-job power draw
-	// (catalog signature prior corrected by observed telemetry) and
-	// backfills smaller jobs past a head-of-line job that doesn't fit.
-	SchedPowerAware = sched.PolicyPowerAware
-)
-
-// Closed-loop budget controller modes (Config.ClosedLoop).
-const (
-	// ClosedLoopOff disables the controller (default).
-	ClosedLoopOff = powermgr.ControllerOff
-	// ClosedLoopObserve counts cap violations without retuning.
-	ClosedLoopObserve = powermgr.ControllerObserve
-	// ClosedLoopRetune runs the full PI loop: reclaim slack from
-	// under-cap jobs, grant it to throttled ones.
-	ClosedLoopRetune = powermgr.ControllerRetune
-)
-
 // Applications lists the bundled application models (the paper's five
-// workloads). Custom models can be added with RegisterApplication.
+// workloads).
 func Applications() []string { return apps.Names() }
-
-// RegisterApplication installs a custom application power/performance
-// profile into the catalog.
-func RegisterApplication(p apps.Profile) error { return apps.Register(p) }
 
 // Config describes the cluster to build.
 type Config struct {
@@ -125,28 +92,8 @@ type Config struct {
 	DisableMonitor bool
 	// MonitorSampleInterval overrides the 2 s default.
 	MonitorSampleInterval time.Duration
-	// MonitorBufferSamples overrides the 100,000-sample ring default.
-	MonitorBufferSamples int
 	// Seed drives every stochastic element. Same seed, same run.
 	Seed int64
-	// SensorNoiseW adds uniform measurement noise to power sensors.
-	SensorNoiseW float64
-	// Jitter enables run-to-run variability (OS noise, congestion).
-	Jitter bool
-	// GPUCapFailureProb injects silent NVML cap-write failures (§V).
-	GPUCapFailureProb float64
-	// SchedPolicy selects the job manager's dispatch policy (SchedFCFS
-	// or SchedPowerAware). Empty = SchedFCFS.
-	SchedPolicy string
-	// SchedBudgetW is the power budget the dispatcher admits predicted
-	// job draw against. 0 with SchedPowerAware uses GlobalPowerCapW, so
-	// admission and enforcement share one bound; explicit 0 budget with
-	// SchedFCFS means unlimited (the baseline).
-	SchedBudgetW float64
-	// ClosedLoop selects the budget controller mode (ClosedLoopOff,
-	// ClosedLoopObserve, ClosedLoopRetune). Requires a dynamic power
-	// policy (proportional or FPP).
-	ClosedLoop string
 }
 
 // JobSpec describes a job submission.
@@ -228,39 +175,22 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Policy == PolicyStatic && cfg.StaticNodeCapW <= 0 {
 		return nil, errors.New("fluxpower: PolicyStatic requires StaticNodeCapW")
 	}
-	if _, err := sched.New(cfg.SchedPolicy); err != nil {
-		return nil, fmt.Errorf("fluxpower: %w", err)
-	}
-	if cfg.SchedPolicy == SchedPowerAware && cfg.SchedBudgetW == 0 {
-		cfg.SchedBudgetW = cfg.GlobalPowerCapW
-	}
-	if cfg.ClosedLoop != ClosedLoopOff &&
-		cfg.Policy != PolicyProportional && cfg.Policy != PolicyFPP {
-		return nil, errors.New("fluxpower: ClosedLoop requires PolicyProportional or PolicyFPP")
-	}
 	inner, err := cluster.New(cluster.Config{
 		System:              cfg.System,
 		Nodes:               cfg.Nodes,
 		Seed:                cfg.Seed,
-		SensorNoiseW:        cfg.SensorNoiseW,
-		Jitter:              cfg.Jitter,
-		GPUCapFailureProb:   cfg.GPUCapFailureProb,
 		MonitorOverheadFrac: -1, // per-system default (§IV-B)
-		SchedPolicy:         cfg.SchedPolicy,
-		SchedBudgetW:        cfg.SchedBudgetW,
 	})
 	if err != nil {
 		return nil, err
 	}
 	fc := &Cluster{cfg: cfg, c: inner}
 	if !cfg.DisableMonitor {
-		monCfg := powermon.Config{
-			SampleInterval: cfg.MonitorSampleInterval,
-			BufferSamples:  cfg.MonitorBufferSamples,
-		}
+		monCfg := powermon.Config{SampleInterval: cfg.MonitorSampleInterval}
 		if err := inner.Inst.LoadModuleAll(func(rank int32) broker.Module {
 			return powermon.New(monCfg)
 		}); err != nil {
+			inner.Close()
 			return nil, err
 		}
 		fc.mon = powermon.NewClient(inner.Inst.Root())
@@ -270,11 +200,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			Policy:         cfg.Policy,
 			GlobalCapW:     cfg.GlobalPowerCapW,
 			StaticNodeCapW: cfg.StaticNodeCapW,
-			Controller:     powermgr.ControllerConfig{Mode: cfg.ClosedLoop},
 		}
 		if err := inner.Inst.LoadModuleAll(func(rank int32) broker.Module {
 			return powermgr.New(mcfg)
 		}); err != nil {
+			inner.Close()
 			return nil, err
 		}
 		fc.pm = powermgr.NewClient(inner.Inst.Root())
@@ -392,30 +322,6 @@ func (fc *Cluster) PowerStatus() (policy Policy, globalCapW float64, allocs []Po
 	return p, g, out, nil
 }
 
-// SchedStatus is the dispatcher's status: active policy, budget
-// accounting, predictor state, and queue-wait statistics.
-type SchedStatus = job.SchedStatus
-
-// SchedStatus reports the job manager's dispatcher state.
-func (fc *Cluster) SchedStatus() (SchedStatus, error) {
-	return fc.c.JM.Sched()
-}
-
-// ControllerStatus is the closed-loop budget controller's status:
-// fleet totals of observation rounds, retunes and cap violations since
-// the manager loaded, plus cap history and counters for the live jobs.
-type ControllerStatus = powermgr.ControllerStatus
-
-// ControllerStatus reports the closed-loop controller's state; its Jobs
-// list holds the live jobs only. Without a power manager loaded it
-// returns the zero status.
-func (fc *Cluster) ControllerStatus() (ControllerStatus, error) {
-	if fc.pm == nil {
-		return ControllerStatus{}, nil
-	}
-	return fc.pm.Controller()
-}
-
 // SetGlobalPowerCap changes the cluster power bound at runtime (dynamic
 // policies re-distribute immediately).
 func (fc *Cluster) SetGlobalPowerCap(watts float64) error {
@@ -424,10 +330,6 @@ func (fc *Cluster) SetGlobalPowerCap(watts float64) error {
 	}
 	return fc.pm.SetGlobalCap(watts)
 }
-
-// TotalPowerW returns the instantaneous measured cluster power (all
-// nodes, running and idle).
-func (fc *Cluster) TotalPowerW() float64 { return fc.c.TotalPowerW() }
 
 // NodePower describes one node's current caps and draw.
 type NodePower struct {

@@ -102,6 +102,17 @@ func TestPolicyConfiguration(t *testing.T) {
 	}
 }
 
+func TestUnknownPolicyRejected(t *testing.T) {
+	c, err := NewCluster(Config{Nodes: 4, Policy: "propotional", GlobalPowerCapW: 2400})
+	if err == nil {
+		c.Close()
+		t.Fatal("misspelt power policy accepted")
+	}
+	if !strings.Contains(err.Error(), "propotional") {
+		t.Fatalf("error does not name the bad policy: %v", err)
+	}
+}
+
 func TestMonitorDisabled(t *testing.T) {
 	c, err := NewCluster(Config{Nodes: 2, DisableMonitor: true})
 	if err != nil {

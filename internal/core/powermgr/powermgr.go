@@ -190,8 +190,14 @@ func (m *Manager) Shutdown() error {
 	return nil
 }
 
-// Init implements broker.Module.
+// Init implements broker.Module. It refuses a cluster policy it cannot
+// enforce: an unknown name would book allocations but cap nothing.
 func (m *Manager) Init(ctx *broker.Context) error {
+	switch m.cfg.Policy {
+	case PolicyNone, PolicyStatic, PolicyProportional, PolicyFPP:
+	default:
+		return fmt.Errorf("powermgr: unknown policy %q (want none, static, proportional or fpp)", m.cfg.Policy)
+	}
 	m.ctx = ctx
 	node, ok := ctx.Local().(*hw.Node)
 	if !ok {

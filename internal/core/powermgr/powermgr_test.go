@@ -2,6 +2,8 @@ package powermgr
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -235,6 +237,30 @@ func TestModuleRequiresHardware(t *testing.T) {
 	// proving the first one is registered.
 	if err := c.Inst.Root().LoadModule(New(Config{})); err == nil {
 		t.Fatal("duplicate module load succeeded")
+	}
+}
+
+func TestUnknownPolicyRejected(t *testing.T) {
+	// A misspelt policy used to load, book a 600 W/node allocation and
+	// cap nothing: the GPUs stayed at 300 W under a 2.4 kW bound.
+	c, err := cluster.New(cluster.Config{System: cluster.Lassen, Nodes: 4, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	err = c.Inst.LoadModuleAll(func(int32) broker.Module {
+		return New(Config{Policy: "propotional", GlobalCapW: 2400})
+	})
+	if err == nil {
+		t.Fatal("unknown policy loaded")
+	}
+	for _, want := range []string{`"propotional"`, "none", "static", "proportional", "fpp"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	if mods := c.Inst.Root().Modules(); slices.Contains(mods, ModuleName) {
+		t.Fatalf("rejected manager left registered: %v", mods)
 	}
 }
 

@@ -51,7 +51,7 @@ func TestLiveModeSampling(t *testing.T) {
 	time.Sleep(200 * time.Millisecond) // real time: ~20 samples per node
 
 	for rank := int32(0); rank < 3; rank++ {
-		resp, err := broker.CallWait(li.Root(), rank, "power-monitor.collect",
+		resp, err := li.Root().CallTimeout(rank, "power-monitor.collect",
 			map[string]float64{"start_sec": 0, "end_sec": 3600}, 5*time.Second)
 		if err != nil {
 			t.Fatalf("rank %d collect over TCP: %v", rank, err)

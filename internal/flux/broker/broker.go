@@ -309,9 +309,6 @@ func (b *Broker) Fanout() int { return b.k }
 // Clock returns the broker's time source.
 func (b *Broker) Clock() simtime.Clock { return b.clock }
 
-// Local returns the per-node resources installed at construction.
-func (b *Broker) Local() any { return b.local }
-
 // Stats returns a snapshot of activity counters.
 func (b *Broker) Stats() Stats {
 	b.mu.Lock()
@@ -915,9 +912,6 @@ func (r *Request) Fail(errnum int, errstr string) error {
 	r.broker.Deliver(msg.NewErrorResponse(r.Msg, r.broker.rank, errnum, errstr))
 	return nil
 }
-
-// Broker returns the broker the request was dispatched on.
-func (r *Request) Broker() *Broker { return r.broker }
 
 // registerBuiltins installs the broker's own services.
 func (b *Broker) registerBuiltins() {

@@ -232,14 +232,6 @@ func (li *LiveInstance) LoadModuleAll(factory func(rank int32) Module) error {
 	return nil
 }
 
-// CallWait performs a blocking RPC from broker b with an explicit
-// timeout. Since Broker.Call now works identically over live transports
-// (futures with deadlines), this survives only as a convenience alias
-// for CallTimeout.
-func CallWait(b *Broker, nodeID int32, topic string, payload any, timeout time.Duration) (*msg.Message, error) {
-	return b.CallTimeout(nodeID, topic, payload, timeout)
-}
-
 // Close tears the instance down: stops wall timers, closes links and
 // listeners.
 func (li *LiveInstance) Close() {

@@ -24,7 +24,7 @@ func newLive(t *testing.T, size, fanout int, local func(rank int32) any) *LiveIn
 func TestLivePingAllRanks(t *testing.T) {
 	li := newLive(t, 7, 2, nil)
 	for rank := int32(0); rank < 7; rank++ {
-		resp, err := CallWait(li.Root(), rank, "broker.ping", nil, 5*time.Second)
+		resp, err := li.Root().CallTimeout(rank, "broker.ping", nil, 5*time.Second)
 		if err != nil {
 			t.Fatalf("ping rank %d over TCP: %v", rank, err)
 		}
@@ -42,7 +42,7 @@ func TestLivePingAllRanks(t *testing.T) {
 
 func TestLiveLeafToLeafRPC(t *testing.T) {
 	li := newLive(t, 7, 2, nil)
-	resp, err := CallWait(li.Broker(3), 6, "broker.ping", nil, 5*time.Second)
+	resp, err := li.Broker(3).CallTimeout(6, "broker.ping", nil, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestLiveModuleWallTimers(t *testing.T) {
 	}
 	time.Sleep(150 * time.Millisecond)
 	for rank := int32(0); rank < 3; rank++ {
-		resp, err := CallWait(li.Root(), rank, "live-agent.count", nil, 5*time.Second)
+		resp, err := li.Root().CallTimeout(rank, "live-agent.count", nil, 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestLiveCallWaitTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err := CallWait(li.Root(), 1, "blackhole.svc", nil, 100*time.Millisecond)
+	_, err := li.Root().CallTimeout(1, "blackhole.svc", nil, 100*time.Millisecond)
 	if err == nil {
 		t.Fatal("expected timeout")
 	}
@@ -231,7 +231,7 @@ func TestLiveCallWaitTimeout(t *testing.T) {
 func TestLiveWideFanout(t *testing.T) {
 	li := newLive(t, 17, 16, nil)
 	for _, rank := range []int32{1, 8, 16} {
-		if _, err := CallWait(li.Root(), rank, "broker.ping", nil, 5*time.Second); err != nil {
+		if _, err := li.Root().CallTimeout(rank, "broker.ping", nil, 5*time.Second); err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
 	}

@@ -135,9 +135,6 @@ func (i *Instance) Root() *Broker { return i.Brokers[0] }
 // Broker returns the broker at the given rank.
 func (i *Instance) Broker(rank int32) *Broker { return i.Brokers[rank] }
 
-// Size returns the instance's broker count.
-func (i *Instance) Size() int { return len(i.Brokers) }
-
 // LoadModuleAll loads one module instance per broker, built by factory.
 // This is how per-node agents (the monitor's node-agent, the manager's
 // node-level-manager) are deployed.
