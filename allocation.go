@@ -98,46 +98,13 @@ func (a *Allocation) Submit(spec JobSpec) (JobID, error) {
 
 // Report returns a sub-job's record and power accounting.
 func (a *Allocation) Report(id JobID) (JobReport, error) {
-	rec, err := a.si.JM.Info(id)
-	if err != nil {
-		return JobReport{}, err
-	}
-	rep := JobReport{
-		ID:        rec.ID,
-		Name:      rec.Spec.Name,
-		App:       rec.Spec.App,
-		Nodes:     rec.Spec.Nodes,
-		State:     rec.State,
-		SubmitSec: rec.SubmitSec,
-		StartSec:  rec.StartSec,
-		EndSec:    rec.EndSec,
-	}
-	if st, ok := a.si.Stats(id); ok {
-		rep.ExecSec = st.ExecSec()
-		rep.AvgNodePowerW = st.AvgNodePowerW
-		rep.MaxNodePowerW = st.MaxNodePowerW
-		rep.EnergyPerNodeJ = st.EnergyPerNodeJ
-	}
-	return rep, nil
+	return jobReport(a.si.JM, a.si.Stats, id)
 }
 
 // PowerStatus reports the user manager's allocation table (nil manager =
 // empty).
 func (a *Allocation) PowerStatus() (Policy, float64, []PowerAllocation, error) {
-	if a.pm == nil {
-		return PolicyNone, 0, nil, nil
-	}
-	p, g, as, err := a.pm.Status()
-	if err != nil {
-		return "", 0, nil, err
-	}
-	out := make([]PowerAllocation, 0, len(as))
-	for _, al := range as {
-		out = append(out, PowerAllocation{
-			JobID: al.JobID, Ranks: al.Ranks, PerNodeW: al.PerNodeW, JobW: al.JobLimitW,
-		})
-	}
-	return p, g, out, nil
+	return powerStatus(a.pm)
 }
 
 // Idle reports whether the allocation has no running or queued jobs.

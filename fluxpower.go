@@ -242,7 +242,14 @@ func (fc *Cluster) NowSec() float64 { return fc.c.Now().Seconds() }
 
 // Report returns a job's scheduling and power accounting.
 func (fc *Cluster) Report(id JobID) (JobReport, error) {
-	rec, err := fc.c.JM.Info(id)
+	return jobReport(fc.c.JM, fc.c.Stats, id)
+}
+
+// jobReport builds a job's report from its job manager's record and its
+// instance's power accounting, for the system instance and allocations
+// alike.
+func jobReport(jm *job.Client, stats func(uint64) (cluster.JobStats, bool), id JobID) (JobReport, error) {
+	rec, err := jm.Info(id)
 	if err != nil {
 		return JobReport{}, err
 	}
@@ -258,7 +265,7 @@ func (fc *Cluster) Report(id JobID) (JobReport, error) {
 		QueueWaitSec: rec.QueueWaitSec,
 		PredNodeW:    rec.PredNodeW,
 	}
-	if st, ok := fc.c.Stats(id); ok {
+	if st, ok := stats(id); ok {
 		rep.ExecSec = st.ExecSec()
 		rep.AvgNodePowerW = st.AvgNodePowerW
 		rep.MaxNodePowerW = st.MaxNodePowerW
@@ -306,10 +313,16 @@ type PowerAllocation struct {
 
 // PowerStatus reports the cluster-level manager's allocation table.
 func (fc *Cluster) PowerStatus() (policy Policy, globalCapW float64, allocs []PowerAllocation, err error) {
-	if fc.pm == nil {
+	return powerStatus(fc.pm)
+}
+
+// powerStatus reads a power manager's allocation table; with no manager
+// loaded (nil) the table is empty.
+func powerStatus(pm *powermgr.Client) (Policy, float64, []PowerAllocation, error) {
+	if pm == nil {
 		return PolicyNone, 0, nil, nil
 	}
-	p, g, as, err := fc.pm.Status()
+	p, g, as, err := pm.Status()
 	if err != nil {
 		return "", 0, nil, err
 	}

@@ -328,3 +328,43 @@ func TestAllocationUserLevelMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A sub-job that queued inside a user allocation reports its wait, as a
+// system-instance job does: two 2-node jobs in a 2-node allocation run
+// one after the other.
+func TestAllocationReportQueueWait(t *testing.T) {
+	c, err := NewCluster(Config{Nodes: 4, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	alloc, err := c.SpawnAllocation("queue-alloc", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids [2]JobID
+	for i := range ids {
+		if ids[i], err = alloc.Submit(JobSpec{App: "gemm", Nodes: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Run(30 * time.Minute)
+	if !alloc.Idle() {
+		t.Fatal("allocation not idle")
+	}
+	first, err := alloc.Report(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := alloc.Report(ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.StartSec < first.EndSec || rep.QueueWaitSec <= 0 || rep.QueueWaitSec != rep.StartSec-rep.SubmitSec {
+		t.Fatalf("second sub-job: wait %v s, submit %v, start %v (first ended %v)",
+			rep.QueueWaitSec, rep.SubmitSec, rep.StartSec, first.EndSec)
+	}
+	if err := alloc.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

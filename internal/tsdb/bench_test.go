@@ -119,3 +119,32 @@ func BenchmarkStoreRecovery(b *testing.B) {
 		s.Crash() // avoid Close rewriting meta with ever-growing recoveries
 	}
 }
+
+// selectSink keeps the measured reads from being optimised away.
+var selectSink []variorum.NodePower
+
+// BenchmarkStoreSelectRange reads windows of a store of 250-sample
+// blocks: one inside a block, one across two, and the whole store.
+func BenchmarkStoreSelectRange(b *testing.B) {
+	s := blockStore(b, 2100) // eight blocks and a 100-sample head
+	defer s.Close()
+	ts := func(i int) float64 { return mkSample(i).Timestamp }
+	for _, w := range []struct {
+		name   string
+		lo, hi float64
+	}{
+		{"one_block", ts(300), ts(449)},
+		{"two_blocks", ts(400), ts(549)},
+		{"whole_store", ts(0), ts(2099)},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if selectSink, err = s.SelectRange(w.lo, w.hi); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

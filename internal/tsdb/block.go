@@ -26,9 +26,11 @@ import (
 //	u32  CRC32 (IEEE) over everything above
 //
 // Decoding verifies the trailing CRC over the whole buffer before
-// trusting any length field, then walks the header through a
-// bounds-checked cursor; a block that fails any step returns an error and
-// never panics or allocates proportional to hostile counts.
+// trusting any length field, then walks the header and every stream's
+// length prefix through a bounds-checked cursor; a block that fails any
+// step returns an error and never panics or allocates proportional to
+// hostile counts. Reads go through scanBlock, which decodes the value
+// streams only through the last row a window selects.
 
 const (
 	blockMagic   = 0x46504231 // "FPB1"
@@ -231,40 +233,40 @@ type blockHeader struct {
 // decodeBlockHeader verifies the envelope (size, CRC, magic, version)
 // and parses the header fields, leaving cur positioned at the first
 // stream length.
-func decodeBlockHeader(data []byte) (blockHeader, *byteCursor, error) {
+func decodeBlockHeader(data []byte) (blockHeader, byteCursor, error) {
 	var h blockHeader
 	if len(data) < 12 || len(data) > maxBlockBytes {
-		return h, nil, fmt.Errorf("tsdb: block size %d out of range", len(data))
+		return h, byteCursor{}, fmt.Errorf("tsdb: block size %d out of range", len(data))
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return h, nil, fmt.Errorf("tsdb: block CRC mismatch")
+		return h, byteCursor{}, fmt.Errorf("tsdb: block CRC mismatch")
 	}
-	cur := &byteCursor{data: body}
+	cur := byteCursor{data: body}
 	magic, err := cur.u32()
 	if err != nil || magic != blockMagic {
-		return h, nil, fmt.Errorf("tsdb: bad block magic")
+		return h, byteCursor{}, fmt.Errorf("tsdb: bad block magic")
 	}
 	version, err := cur.u8()
 	if err != nil || version != blockVersion {
-		return h, nil, fmt.Errorf("tsdb: unsupported block version %d", version)
+		return h, byteCursor{}, fmt.Errorf("tsdb: unsupported block version %d", version)
 	}
 	count, err := cur.u32()
 	if err != nil {
-		return h, nil, err
+		return h, byteCursor{}, err
 	}
 	// A sample costs at least one timestamp bit, so count can never
 	// exceed 8× the file size — rejects hostile counts before any
 	// count-proportional work.
 	if int64(count) > int64(len(data))*8 {
-		return h, nil, fmt.Errorf("tsdb: block count %d impossible for %d bytes", count, len(data))
+		return h, byteCursor{}, fmt.Errorf("tsdb: block count %d impossible for %d bytes", count, len(data))
 	}
 	h.count = int(count)
 	if h.minTs, err = cur.f64(); err != nil {
-		return h, nil, err
+		return h, byteCursor{}, err
 	}
 	if h.maxTs, err = cur.f64(); err != nil {
-		return h, nil, err
+		return h, byteCursor{}, err
 	}
 	readString := func() (string, error) {
 		n, err := cur.u16()
@@ -278,15 +280,15 @@ func decodeBlockHeader(data []byte) (blockHeader, *byteCursor, error) {
 		return string(b), err
 	}
 	if h.schema.hostname, err = readString(); err != nil {
-		return h, nil, err
+		return h, byteCursor{}, err
 	}
 	if h.schema.arch, err = readString(); err != nil {
-		return h, nil, err
+		return h, byteCursor{}, err
 	}
 	var fields [6]byte
 	for i := range fields {
 		if fields[i], err = cur.u8(); err != nil {
-			return h, nil, err
+			return h, byteCursor{}, err
 		}
 	}
 	flags := fields[0]
@@ -303,96 +305,179 @@ func decodeBlockHeader(data []byte) (blockHeader, *byteCursor, error) {
 		h.schema.gpuSNil && h.schema.nGPUSock != 0 ||
 		h.schema.gpuDNil && h.schema.nGPUDev != 0 ||
 		h.schema.cpuNil && h.schema.nCPU != 0 {
-		return h, nil, fmt.Errorf("tsdb: block schema flags contradict channel counts")
+		return h, byteCursor{}, fmt.Errorf("tsdb: block schema flags contradict channel counts")
 	}
 	return h, cur, nil
 }
 
-// decodeBlock decodes a full block image back into samples.
-func decodeBlock(data []byte) (blockHeader, []variorum.NodePower, error) {
+// inWindow is every raw read's row predicate: ts in [min, max]. Append
+// does not enforce timestamp order, so reads test every row rather than
+// binary-search. The unbounded window holds every row, NaN-stamped ones
+// too, so that it is the whole block.
+func inWindow(ts, min, max float64) bool {
+	return ts >= min && ts <= max || math.IsInf(min, -1) && math.IsInf(max, 1)
+}
+
+// scanBlock calls fn for every row of the block image that lies in
+// [min, max], oldest row first. It verifies the envelope, the header and
+// every stream's length prefix, decodes the whole timestamp stream to
+// count the window's rows and find its last one, then steps the value
+// streams in lockstep with a second timestamp pass only through that
+// row. Rows past it are never decoded: a crafted, CRC-valid block whose
+// value stream is malformed past the window's last row is answered, not
+// rejected. The scan holds one decoder per stream and one row of values.
+//
+// fn receives n, the window's row count (the same on every call, so the
+// first call can size the caller's storage), and a view that is reused
+// from row to row: its channel slices are capped, and fn must copy them
+// to keep them.
+func scanBlock(data []byte, min, max float64, fn func(n int, p variorum.NodePower)) (blockHeader, error) {
 	h, cur, err := decodeBlockHeader(data)
 	if err != nil {
-		return h, nil, err
-	}
-	readStream := func() ([]byte, error) {
-		n, err := cur.u32()
-		if err != nil {
-			return nil, err
-		}
-		return cur.bytes(int(n))
-	}
-	tsStream, err := readStream()
-	if err != nil {
-		return h, nil, err
-	}
-	ts, err := decodeTimestamps(tsStream, h.count)
-	if err != nil {
-		return h, nil, err
+		return h, err
 	}
 	s := h.schema
-	cols := make([][]float64, s.channels())
-	for i := range cols {
-		stream, err := readStream()
+	// One decoder per stream: the timestamps, then NodeWatts and the
+	// channels in struct order. Up to 16 channels stay on the stack.
+	var ts tsDecoder
+	var small [16]xorDecoder
+	var vals []xorDecoder
+	if n := s.channels(); n <= len(small) {
+		vals = small[:n]
+	} else {
+		vals = make([]xorDecoder, n)
+	}
+	for i := -1; i < len(vals); i++ {
+		n, err := cur.u32()
 		if err != nil {
-			return h, nil, err
+			return h, err
 		}
-		if cols[i], err = decodeValues(stream, h.count); err != nil {
-			return h, nil, err
+		stream, err := cur.bytes(int(n))
+		if err != nil {
+			return h, err
 		}
+		// A stream holds a raw first value and at least a bit per later
+		// row, so count is checked against every stream before any
+		// count-proportional work.
+		if h.count > 0 && len(stream)*8 < 63+h.count {
+			return h, errShortStream
+		}
+		if i < 0 {
+			ts.r.buf = stream
+		} else {
+			vals[i].r.buf = stream
+		}
+	}
+	rows, last := 0, -1
+	for i := 0; i < h.count; i++ {
+		t, err := ts.next()
+		if err != nil {
+			return h, err
+		}
+		if inWindow(t, min, max) {
+			rows, last = rows+1, i
+		}
+	}
+	if rows == 0 {
+		return h, nil
 	}
 
-	capHint := h.count
-	if capHint > preallocCap {
-		capHint = preallocCap
+	row := make([]float64, len(vals)-1)
+	rest := row
+	view := variorum.NodePower{
+		Hostname:           s.hostname,
+		Arch:               s.arch,
+		GPUsPerSensorEntry: s.gpusPer,
+		SocketCPUWatts:     cut(&rest, s.nCPU, s.cpuNil),
+		SocketMemWatts:     cut(&rest, s.nMem, s.memNil),
+		SocketGPUWatts:     cut(&rest, s.nGPUSock, s.gpuSNil),
+		GPUWatts:           cut(&rest, s.nGPUDev, s.gpuDNil),
 	}
-	out := make([]variorum.NodePower, 0, capHint)
-	for i := 0; i < h.count; i++ {
-		p := variorum.NodePower{
-			Hostname:           s.hostname,
-			Timestamp:          ts[i],
-			Arch:               s.arch,
-			GPUsPerSensorEntry: s.gpusPer,
+	ts = tsDecoder{r: bitReader{buf: ts.r.buf}}
+	for i := 0; i <= last; i++ {
+		t, _ := ts.next() // the first pass decoded this row
+		if view.NodeWatts, err = vals[0].next(); err != nil {
+			return h, err
 		}
-		c := 0
-		p.NodeWatts = cols[c][i]
-		c++
-		if !s.cpuNil {
-			p.SocketCPUWatts = make([]float64, s.nCPU)
-			for j := 0; j < s.nCPU; j++ {
-				p.SocketCPUWatts[j] = cols[c][i]
-				c++
+		for c := range row {
+			if row[c], err = vals[c+1].next(); err != nil {
+				return h, err
 			}
-		} else {
-			c += s.nCPU
 		}
-		if !s.memNil {
-			p.SocketMemWatts = make([]float64, s.nMem)
-			for j := 0; j < s.nMem; j++ {
-				p.SocketMemWatts[j] = cols[c][i]
-				c++
-			}
-		} else {
-			c += s.nMem
+		if inWindow(t, min, max) {
+			view.Timestamp = t
+			fn(rows, view)
 		}
-		if !s.gpuSNil {
-			p.SocketGPUWatts = make([]float64, s.nGPUSock)
-			for j := 0; j < s.nGPUSock; j++ {
-				p.SocketGPUWatts[j] = cols[c][i]
-				c++
-			}
-		} else {
-			c += s.nGPUSock
+	}
+	return h, nil
+}
+
+// cut takes the next n floats off the front of *buf as a slice capped at
+// n, so that appending to it cannot reach the next; isNil yields nil.
+func cut(buf *[]float64, n int, isNil bool) []float64 {
+	if isNil {
+		return nil
+	}
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
+}
+
+// appendScan appends to out an owned copy of every row of the block
+// image in [min, max]. The window's row count is known before its first
+// row, so out grows at most once per block, and every copy's channels
+// come from one slab sized to exactly that count.
+func appendScan(out []variorum.NodePower, data []byte, min, max float64) ([]variorum.NodePower, blockHeader, error) {
+	start := len(out)
+	var slab []float64
+	h, err := scanBlock(data, min, max, func(n int, p variorum.NodePower) {
+		if len(out) == start {
+			out, slab = growFor(out, n, n*width(p))
 		}
-		if !s.gpuDNil {
-			p.GPUWatts = make([]float64, s.nGPUDev)
-			for j := 0; j < s.nGPUDev; j++ {
-				p.GPUWatts[j] = cols[c][i]
-				c++
-			}
-		} else {
-			c += s.nGPUDev
-		}
-		out = append(out, p)
+		out = append(out, own(p, &slab))
+	})
+	return out, h, err
+}
+
+// growFor returns out with room for n more samples, and a slab of
+// exactly values floats for their channels. An empty out is sized to
+// exactly n; a fuller one at least doubles, so that a read over many
+// blocks stays linear.
+func growFor(out []variorum.NodePower, n, values int) ([]variorum.NodePower, []float64) {
+	if cap(out)-len(out) < n {
+		grown := make([]variorum.NodePower, len(out), max(len(out)+n, 2*cap(out)))
+		copy(grown, out)
+		out = grown
+	}
+	return out, make([]float64, values)
+}
+
+// width is the number of channel values p holds.
+func width(p variorum.NodePower) int {
+	return len(p.SocketCPUWatts) + len(p.SocketMemWatts) + len(p.SocketGPUWatts) + len(p.GPUWatts)
+}
+
+// own returns p with its channel slices copied off the front of *slab.
+func own(p variorum.NodePower, slab *[]float64) variorum.NodePower {
+	p.SocketCPUWatts = ownCopy(slab, p.SocketCPUWatts)
+	p.SocketMemWatts = ownCopy(slab, p.SocketMemWatts)
+	p.SocketGPUWatts = ownCopy(slab, p.SocketGPUWatts)
+	p.GPUWatts = ownCopy(slab, p.GPUWatts)
+	return p
+}
+
+func ownCopy(slab *[]float64, src []float64) []float64 {
+	dst := cut(slab, len(src), src == nil)
+	copy(dst, src)
+	return dst
+}
+
+// decodeBlock decodes a full block image back into samples: the scan
+// over the unbounded window.
+func decodeBlock(data []byte) (blockHeader, []variorum.NodePower, error) {
+	out, h, err := appendScan(nil, data, math.Inf(-1), math.Inf(1))
+	if err != nil {
+		return h, nil, err
 	}
 	return h, out, nil
 }

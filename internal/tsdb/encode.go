@@ -21,8 +21,8 @@ import (
 //     window cost '10' plus the window; anything else re-describes the
 //     window with 5 leading-zero bits and a 6-bit length.
 //
-// Both decoders treat a stream that ends early as errShortStream and
-// never allocate proportionally to anything but bits actually present.
+// Both decoders step one value at a time, hold no column, and treat a
+// stream that ends early as errShortStream.
 
 // putDoD appends one signed delta-of-delta using Gorilla's prefix
 // buckets, widened with a 64-bit escape so arbitrary bit-pattern deltas
@@ -102,41 +102,32 @@ func encodeTimestamps(ts []float64) []byte {
 	return w.bytes()
 }
 
-// decodeTimestamps unpacks count timestamps from data. The preallocation
-// is capped independently of count so a hostile header cannot force a
-// large allocation before the stream runs dry.
-func decodeTimestamps(data []byte, count int) ([]float64, error) {
-	r := &bitReader{buf: data}
-	capHint := count
-	if capHint > preallocCap {
-		capHint = preallocCap
-	}
-	out := make([]float64, 0, capHint)
-	var prev, prevDelta int64
-	for i := 0; i < count; i++ {
-		if i == 0 {
-			u, err := r.readBits(64)
-			if err != nil {
-				return nil, err
-			}
-			prev = int64(u)
-		} else {
-			dod, err := getDoD(r)
-			if err != nil {
-				return nil, err
-			}
-			prevDelta += dod
-			prev += prevDelta
-		}
-		out = append(out, math.Float64frombits(uint64(prev)))
-	}
-	return out, nil
+// tsDecoder steps a timestamp stream written by encodeTimestamps one
+// value at a time, so a reader holds one timestamp, not a column.
+type tsDecoder struct {
+	r           bitReader
+	started     bool
+	prev, delta int64
 }
 
-// preallocCap bounds decode-side slice preallocation (in elements); the
-// slices still grow to the true count by appending, so the cap only
-// defends against hostile counts, it does not truncate.
-const preallocCap = 1 << 16
+// next returns the stream's next timestamp.
+func (d *tsDecoder) next() (float64, error) {
+	if !d.started {
+		u, err := d.r.readBits(64)
+		if err != nil {
+			return 0, err
+		}
+		d.prev, d.started = int64(u), true
+	} else {
+		dod, err := getDoD(&d.r)
+		if err != nil {
+			return 0, err
+		}
+		d.delta += dod
+		d.prev += d.delta
+	}
+	return math.Float64frombits(uint64(d.prev)), nil
+}
 
 // xorLeadingNone marks "no meaningful-bit window established yet".
 const xorLeadingNone = 0xFF
@@ -181,67 +172,64 @@ func encodeValues(vals []float64) []byte {
 	return w.bytes()
 }
 
-// decodeValues unpacks count floats from one XOR-compressed channel.
-func decodeValues(data []byte, count int) ([]float64, error) {
-	r := &bitReader{buf: data}
-	capHint := count
-	if capHint > preallocCap {
-		capHint = preallocCap
+// xorDecoder steps one XOR-compressed channel written by encodeValues
+// one value at a time.
+type xorDecoder struct {
+	r                 bitReader
+	started           bool
+	prev              uint64
+	leading, trailing uint
+}
+
+// next returns the channel's next value.
+func (d *xorDecoder) next() (float64, error) {
+	r := &d.r
+	if !d.started {
+		u, err := r.readBits(64)
+		if err != nil {
+			return 0, err
+		}
+		d.prev, d.started = u, true
+		d.leading = xorLeadingNone
+		return math.Float64frombits(d.prev), nil
 	}
-	out := make([]float64, 0, capHint)
-	var prev uint64
-	leading, trailing := uint(xorLeadingNone), uint(0)
-	for i := 0; i < count; i++ {
-		if i == 0 {
-			u, err := r.readBits(64)
-			if err != nil {
-				return nil, err
-			}
-			prev = u
-			out = append(out, math.Float64frombits(prev))
-			continue
-		}
-		ctrl, err := r.readBits(1)
-		if err != nil {
-			return nil, err
-		}
-		if ctrl == 0 {
-			out = append(out, math.Float64frombits(prev))
-			continue
-		}
-		reuse, err := r.readBits(1)
-		if err != nil {
-			return nil, err
-		}
-		if reuse == 0 {
-			// '10': reuse the established window.
-			if leading == xorLeadingNone {
-				return nil, errShortStream // window reuse before any window: hostile
-			}
-		} else {
-			// '11': new window description.
-			lz, err := r.readBits(5)
-			if err != nil {
-				return nil, err
-			}
-			sigm1, err := r.readBits(6)
-			if err != nil {
-				return nil, err
-			}
-			sig := uint(sigm1) + 1
-			if uint(lz)+sig > 64 {
-				return nil, errShortStream
-			}
-			leading = uint(lz)
-			trailing = 64 - uint(lz) - sig
-		}
-		sig := 64 - leading - trailing
-		mid, err := r.readBits(sig)
-		if err != nil {
-			return nil, err
-		}
-		prev ^= mid << trailing
-		out = append(out, math.Float64frombits(prev))
+	ctrl, err := r.readBits(1)
+	if err != nil {
+		return 0, err
 	}
-	return out, nil
+	if ctrl == 0 {
+		return math.Float64frombits(d.prev), nil
+	}
+	reuse, err := r.readBits(1)
+	if err != nil {
+		return 0, err
+	}
+	if reuse == 0 {
+		// '10': reuse the established window.
+		if d.leading == xorLeadingNone {
+			return 0, errShortStream // window reuse before any window: hostile
+		}
+	} else {
+		// '11': new window description.
+		lz, err := r.readBits(5)
+		if err != nil {
+			return 0, err
+		}
+		sigm1, err := r.readBits(6)
+		if err != nil {
+			return 0, err
+		}
+		sig := uint(sigm1) + 1
+		if uint(lz)+sig > 64 {
+			return 0, errShortStream
+		}
+		d.leading = uint(lz)
+		d.trailing = 64 - uint(lz) - sig
+	}
+	mid, err := r.readBits(64 - d.leading - d.trailing)
+	if err != nil {
+		return 0, err
+	}
+	d.prev ^= mid << d.trailing
+	return math.Float64frombits(d.prev), nil
 }

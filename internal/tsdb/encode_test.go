@@ -8,34 +8,28 @@ import (
 
 func roundTripTimestamps(t *testing.T, ts []float64) {
 	t.Helper()
-	enc := encodeTimestamps(ts)
-	got, err := decodeTimestamps(enc, len(ts))
-	if err != nil {
-		t.Fatalf("decodeTimestamps: %v", err)
-	}
-	if len(got) != len(ts) {
-		t.Fatalf("len = %d, want %d", len(got), len(ts))
-	}
+	d := tsDecoder{r: bitReader{buf: encodeTimestamps(ts)}}
 	for i := range ts {
-		if math.Float64bits(got[i]) != math.Float64bits(ts[i]) {
-			t.Fatalf("ts[%d] = %x, want %x", i, math.Float64bits(got[i]), math.Float64bits(ts[i]))
+		got, err := d.next()
+		if err != nil {
+			t.Fatalf("ts[%d]: %v", i, err)
+		}
+		if math.Float64bits(got) != math.Float64bits(ts[i]) {
+			t.Fatalf("ts[%d] = %x, want %x", i, math.Float64bits(got), math.Float64bits(ts[i]))
 		}
 	}
 }
 
 func roundTripValues(t *testing.T, vals []float64) {
 	t.Helper()
-	enc := encodeValues(vals)
-	got, err := decodeValues(enc, len(vals))
-	if err != nil {
-		t.Fatalf("decodeValues: %v", err)
-	}
-	if len(got) != len(vals) {
-		t.Fatalf("len = %d, want %d", len(got), len(vals))
-	}
+	d := xorDecoder{r: bitReader{buf: encodeValues(vals)}}
 	for i := range vals {
-		if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
-			t.Fatalf("val[%d] = %x, want %x", i, math.Float64bits(got[i]), math.Float64bits(vals[i]))
+		got, err := d.next()
+		if err != nil {
+			t.Fatalf("val[%d]: %v", i, err)
+		}
+		if math.Float64bits(got) != math.Float64bits(vals[i]) {
+			t.Fatalf("val[%d] = %x, want %x", i, math.Float64bits(got), math.Float64bits(vals[i]))
 		}
 	}
 }
@@ -141,14 +135,19 @@ func TestDoDBuckets(t *testing.T) {
 
 func TestDecodeShortStream(t *testing.T) {
 	enc := encodeValues([]float64{1, 2, 3, 4})
-	for cut := 0; cut < len(enc); cut++ {
-		if _, err := decodeValues(enc[:cut], 4); err == nil && cut < len(enc)-1 {
-			// The final byte may hold only padding bits; any earlier cut
-			// must fail.
-			t.Fatalf("decodeValues accepted %d/%d bytes", cut, len(enc))
+	for cut := 0; cut < len(enc)-1; cut++ {
+		// The final byte may hold only padding bits; any earlier cut must
+		// fail before the fourth value.
+		d := xorDecoder{r: bitReader{buf: enc[:cut]}}
+		var err error
+		for i := 0; i < 4 && err == nil; i++ {
+			_, err = d.next()
+		}
+		if err == nil {
+			t.Fatalf("xorDecoder accepted %d/%d bytes", cut, len(enc))
 		}
 	}
-	if _, err := decodeTimestamps(nil, 3); err == nil {
-		t.Fatal("decodeTimestamps accepted empty stream for count 3")
+	if _, err := (&tsDecoder{}).next(); err == nil {
+		t.Fatal("tsDecoder accepted an empty stream")
 	}
 }

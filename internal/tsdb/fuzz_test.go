@@ -64,14 +64,42 @@ func bitsEqual(a, b variorum.NodePower) bool {
 // must never panic or allocate unboundedly, and anything it accepts must
 // re-encode/re-decode to the same samples (the decoder defines the
 // format; round-trip stability is what recovery relies on).
+//
+// It is also the windowed scan's differential oracle. An image whose
+// envelope or header fails is refused by every scan. An image decodeBlock
+// accepts is scanned over the empty window, the unbounded one, one
+// between two of its timestamps picked by the input's bytes and one that
+// ends mid-block, and each must hand over exactly the rows of
+// decode-then-filter. The converse is not required: a scan decodes the
+// value streams only through the window's last row, so a crafted,
+// CRC-valid block with a malformed stream past that row is answered,
+// not rejected, by a window that ends before it.
 func FuzzBlockDecode(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		inf := math.Inf(1)
+		if _, _, herr := decodeBlockHeader(data); herr != nil {
+			for _, w := range [][2]float64{{-inf, inf}, {1, 0}} {
+				if _, err := scanBlock(data, w[0], w[1], func(int, variorum.NodePower) {}); err == nil {
+					t.Fatalf("scan over [%v, %v] accepted an image whose header fails: %v", w[0], w[1], herr)
+				}
+			}
+		}
 		h, samples, err := decodeBlock(data)
 		if err != nil {
 			return
+		}
+		windows := [][2]float64{{1, 0}, {-inf, inf}}
+		if n := len(samples); n > 0 {
+			i, j := int(data[len(data)/3])%n, int(data[len(data)/2])%n
+			windows = append(windows,
+				[2]float64{samples[i].Timestamp, samples[j].Timestamp},
+				[2]float64{-inf, samples[n/2].Timestamp})
+		}
+		for _, w := range windows {
+			scanMatchesFilter(t, data, samples, w[0], w[1])
 		}
 		if h.count != len(samples) {
 			t.Fatalf("header count %d but %d samples", h.count, len(samples))

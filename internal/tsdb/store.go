@@ -27,7 +27,9 @@ package tsdb
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -254,8 +256,9 @@ func parseBlockName(name string) (uint64, bool) {
 }
 
 // recoverBlocks loads the sealed-block index. A block that fails its CRC
-// (torn seal) is deleted — its samples are still in the WAL — and so is
-// anything after a gap in the index sequence.
+// (torn seal), or is larger than any block can be, is deleted — its
+// samples are still in the WAL — and so is anything after a gap in the
+// index sequence.
 func (s *Store) recoverBlocks() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -282,12 +285,12 @@ func (s *Store) recoverBlocks() error {
 			_ = os.Remove(c.path)
 			continue
 		}
-		data, err := os.ReadFile(c.path)
-		if err != nil {
+		data, err := readBlockFile(c.path)
+		if err != nil && !errors.Is(err, errBlockSize) {
 			return err
 		}
 		h, _, derr := decodeBlockHeader(data)
-		if derr != nil || (len(s.blocks) > 0 && c.first != s.sealed) {
+		if err != nil || derr != nil || (len(s.blocks) > 0 && c.first != s.sealed) {
 			contiguous = false
 			s.droppedBlocks++
 			_ = os.Remove(c.path)
@@ -585,7 +588,9 @@ func (s *Store) Maintain(_ float64) error {
 // SelectRange returns every stored sample with timestamp in [min, max],
 // oldest first: sealed blocks (via the sparse index), then the head —
 // which still includes un-synced appends, so a store-backed read is
-// always a superset of what a crash would preserve.
+// always a superset of what a crash would preserve. A block is decoded
+// only through the window's last row, and every returned sample owns its
+// channel slices.
 func (s *Store) SelectRange(min, max float64) ([]variorum.NodePower, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -601,35 +606,70 @@ func (s *Store) SelectRange(min, max float64) ([]variorum.NodePower, error) {
 		if b.minTs > max {
 			break
 		}
-		samples, err := readBlock(b.path)
-		if err != nil {
-			return nil, err
+		data, err := readBlockFile(b.path)
+		if err == nil {
+			out, _, err = appendScan(out, data, min, max)
 		}
-		for _, p := range samples {
-			if p.Timestamp >= min && p.Timestamp <= max {
-				out = append(out, p)
-			}
+		if err != nil {
+			return nil, fmt.Errorf("tsdb: block %s: %w", filepath.Base(b.path), err)
 		}
 	}
+	// A head replayed from the WAL did not pass Append's shape check, so
+	// the slab is sized row by row.
+	n, values := 0, 0
 	for _, p := range s.head {
-		if p.Timestamp >= min && p.Timestamp <= max {
-			out = append(out, p)
+		if inWindow(p.Timestamp, min, max) {
+			n, values = n+1, values+width(p)
+		}
+	}
+	if n > 0 {
+		var slab []float64
+		out, slab = growFor(out, n, values)
+		for _, p := range s.head {
+			if inWindow(p.Timestamp, min, max) {
+				out = append(out, own(p, &slab))
+			}
 		}
 	}
 	return out, nil
 }
 
-// readBlock reads and decodes one sealed block file.
-func readBlock(path string) ([]variorum.NodePower, error) {
-	data, err := os.ReadFile(path)
+// errBlockSize marks a block file larger than any block can be.
+var errBlockSize = errors.New("tsdb: block file too large")
+
+// readBlockFile reads one block file whole, after refusing by its size
+// one that no block can be, so that a stray large file is never read.
+func readBlockFile(path string) ([]byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	_, samples, err := decodeBlock(data)
+	defer f.Close()
+	st, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("tsdb: block %s: %w", filepath.Base(path), err)
+		return nil, err
 	}
-	return samples, nil
+	if st.Size() > maxBlockBytes {
+		return nil, fmt.Errorf("%w: %d bytes", errBlockSize, st.Size())
+	}
+	data := make([]byte, st.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// readBlock reads and decodes one sealed block file.
+func readBlock(path string) ([]variorum.NodePower, error) {
+	data, err := readBlockFile(path)
+	if err == nil {
+		_, samples, derr := decodeBlock(data)
+		if derr == nil {
+			return samples, nil
+		}
+		err = derr
+	}
+	return nil, fmt.Errorf("tsdb: block %s: %w", filepath.Base(path), err)
 }
 
 // All returns every stored sample, oldest first.
