@@ -58,7 +58,7 @@ type tier struct {
 // archive is the node agent's storage: the raw full-rate ring plus the
 // downsampled tiers, all fed by the same Push.
 type archive struct {
-	raw   *ringbuf.Ring[variorum.NodePower]
+	raw   *rawRing
 	tiers []*tier
 	// rawLostTs is the raw ring's loss watermark: the timestamp of the
 	// newest sample no longer held (evicted, or never loaded at restore).
@@ -68,7 +68,7 @@ type archive struct {
 
 func newArchive(rawSamples int, specs []TierSpec) *archive {
 	a := &archive{
-		raw:       ringbuf.New[variorum.NodePower](rawSamples),
+		raw:       newRawRing(rawSamples),
 		rawLostTs: math.Inf(-1),
 	}
 	for _, s := range specs {
@@ -88,11 +88,11 @@ func newArchive(rawSamples int, specs []TierSpec) *archive {
 // push folds one sample into the raw ring and every tier.
 func (a *archive) push(p variorum.NodePower) {
 	if a.raw.Len() == a.raw.Cap() {
-		if oldest, ok := a.raw.Oldest(); ok && oldest.Timestamp > a.rawLostTs {
-			a.rawLostTs = oldest.Timestamp
+		if oldest, ok := a.raw.Oldest(); ok && oldest > a.rawLostTs {
+			a.rawLostTs = oldest
 		}
 	}
-	a.raw.Push(p)
+	a.raw.push(&p)
 	for _, t := range a.tiers {
 		t.push(p)
 	}
@@ -115,9 +115,8 @@ func (t *tier) push(p variorum.NodePower) {
 	}
 }
 
-// bucketStart and sampleTs are the rings' window keys.
+// bucketStart is the tier rings' window key.
 func bucketStart(b variorum.Bucket) float64 { return b.StartSec }
-func sampleTs(p variorum.NodePower) float64 { return p.Timestamp }
 
 // scan visits the tier's finalized buckets intersecting [start, end],
 // oldest first, then the still-accumulating bucket if it intersects too.
@@ -163,13 +162,15 @@ func (a *archive) restore(samples []variorum.NodePower, lostBefore float64, tier
 		a.rawLostTs = lostBefore
 	}
 	if excess := len(samples) - a.raw.Cap(); excess > 0 {
-		// PushAll will keep only the newest capacity-worth; the newest
-		// sample not loaded is the ring's loss watermark.
+		// The ring keeps only the newest capacity-worth; the newest
+		// sample not loaded is its loss watermark.
 		if ts := samples[excess-1].Timestamp; ts > a.rawLostTs {
 			a.rawLostTs = ts
 		}
 	}
-	a.raw.PushAll(samples)
+	for i := range samples {
+		a.raw.push(&samples[i])
+	}
 	for _, t := range a.tiers {
 		replayFrom := math.Inf(-1)
 		for _, b := range tiers[t.fold.PeriodSec] {

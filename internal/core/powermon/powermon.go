@@ -11,12 +11,14 @@
 // paper's 0.4% average overhead.
 //
 // Defaults follow the paper: one sample every 2 seconds, a ring bounded at
-// 100,000 samples per node (~43.4 MB of Variorum JSON on the real system).
-// That figure is a ceiling, not a footprint: the ring and the archive
-// tiers below grow to their bounds as samples arrive, so an agent holds
-// what it has sampled and no more. The client receives a CSV with one row
-// per (node, sample) and a column stating whether the buffer still held
-// the job's full window or only a partial one.
+// 100,000 samples per node. The paper's ring holds Variorum JSON (~43.4 MB
+// full); this one keeps each sample as flat numbers, 100 B for a Lassen
+// sample, so a full ring is ~10 MB. Even that is a ceiling, not a
+// footprint: the ring and the archive tiers below grow to their bounds as
+// samples arrive, so an agent holds what it has sampled and no more. The
+// client receives a CSV with one row per (node, sample) and a column
+// stating whether the buffer still held the job's full window or only a
+// partial one.
 //
 // Beyond the paper's flat gather, each node agent also maintains
 // downsampled archive tiers (mean/max/min per component per bucket), and
@@ -508,7 +510,7 @@ func (m *Module) handleStats(req *broker.Request) {
 		"reattaches":          m.reattaches,
 	}
 	if oldest, ok := m.arch.raw.Oldest(); ok {
-		stats["oldest_sample_sec"] = oldest.Timestamp
+		stats["oldest_sample_sec"] = oldest
 	}
 	if m.store != nil {
 		stats["store"] = m.store.Health()

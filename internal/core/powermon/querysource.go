@@ -77,15 +77,16 @@ func (m *Module) QueryMeta() query.SourceMeta {
 func (m *Module) QueryRaw(start, end float64) []variorum.NodePower {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.arch.raw.SelectRange(start, end, sampleTs)
+	return m.arch.raw.query(start, end)
 }
 
 // ScanRaw implements query.Scanner: fn visits the ring samples QueryRaw
-// would return, in place and in the same order, under the module lock.
+// would return, in the same order, under the module lock, as one reused
+// record whose channel slices alias the ring.
 func (m *Module) ScanRaw(start, end float64, fn func(*variorum.NodePower)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.arch.raw.ScanRange(start, end, sampleTs, fn)
+	m.arch.raw.scan(start, end, fn)
 }
 
 // ScanTier implements query.Scanner: fn visits the in-memory tier's

@@ -82,7 +82,10 @@ type Op[P any] struct {
 	Local func(body, own json.RawMessage) (P, error)
 	// Merge combines two partial aggregates built over disjoint rank
 	// sets. It must be insensitive to combining order (the tree imposes
-	// its own).
+	// its own). Merge owns a: it may fold b into a's maps and slices and
+	// return a, and the reducer uses a no more after a successful merge.
+	// b it may only read. A failed merge must leave a as it was: the
+	// reducer keeps a and counts b's ranks missing.
 	Merge func(a, b P) (P, error)
 }
 

@@ -99,31 +99,28 @@ type Partial struct {
 
 // MergePartial combines two partials built over disjoint rank sets. It
 // is the reduce combiner; exact integer/extreme arithmetic makes it
-// insensitive to the tree's combining order.
+// insensitive to the tree's combining order. It folds b into a in place
+// — a's group map and top-k sketch — and returns a, so the caller must
+// not use a afterwards. b is only read, and the result shares nothing
+// with it that a later merge modifies.
 func MergePartial(a, b Partial) (Partial, error) {
-	out := Partial{
-		Series:   a.Series + b.Series,
-		Complete: a.Complete && b.Complete,
-		Sources:  unionSorted(a.Sources, b.Sources),
+	a.Series += b.Series
+	a.Complete = a.Complete && b.Complete
+	a.Sources = unionSorted(a.Sources, b.Sources)
+	if len(b.Groups) > 0 && a.Groups == nil {
+		a.Groups = make(map[string]GroupAgg, len(b.Groups))
 	}
-	if len(a.Groups) > 0 || len(b.Groups) > 0 {
-		out.Groups = make(map[string]GroupAgg, len(a.Groups)+len(b.Groups))
-		for k, g := range a.Groups {
-			out.Groups[k] = g
-		}
-		for k, g := range b.Groups {
-			out.Groups[k] = out.Groups[k].merge(g)
-		}
+	for k, g := range b.Groups {
+		a.Groups[k] = a.Groups[k].merge(g)
 	}
 	switch {
+	case b.Top == nil:
 	case a.Top == nil:
-		out.Top = b.Top
+		a.Top = &stats.TopK{K: b.Top.K, Entries: slices.Clone(b.Top.Entries)}
 	default:
-		t := &stats.TopK{K: a.Top.K, Entries: append([]stats.TopEntry(nil), a.Top.Entries...)}
-		t.MergeTopK(b.Top)
-		out.Top = t
+		a.Top.MergeTopK(b.Top)
 	}
-	return out, nil
+	return a, nil
 }
 
 // unionSorted merges two sorted, duplicate-free source lists. Ranks

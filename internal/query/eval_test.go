@@ -1,15 +1,18 @@
 package query
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 
 	"fluxpower/internal/flux/job"
 	"fluxpower/internal/flux/msg"
+	"fluxpower/internal/stats"
 )
 
 // TestFoldLocalAttributesEmptyRead: a rank that consulted a degraded
@@ -149,5 +152,64 @@ func TestJobWindows(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("jobWindows:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// TestMergePartialInPlace: the combiner folds b into a's own group map
+// and top-k sketch. Every combining order of three partials gives the
+// same JSON, b is left as it was, and a merge whose groups a already
+// holds allocates nothing.
+func TestMergePartialInPlace(t *testing.T) {
+	mk := func(rank int, sources ...string) Partial {
+		p := Partial{Series: 2, Complete: rank != 1, Sources: sources, Groups: map[string]GroupAgg{}, Top: stats.NewTopK(3)}
+		for i, key := range []string{"", "lassen", "tioga"}[:1+rank%3] {
+			v := float64(100*rank + i)
+			p.Groups[key] = GroupAgg{}.add(v).add(v / 2)
+			p.Top.Add(strconv.Itoa(10*rank+i), v)
+		}
+		return p
+	}
+	parts := func() []Partial {
+		return []Partial{mk(0, SourceRaw), mk(1, SourceRaw, "tier:60"), mk(2, SourceRaw)}
+	}
+	encode := func(p Partial) string {
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	want := ""
+	for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		ps := parts()
+		before := encode(ps[order[1]])
+		agg, _ := MergePartial(ps[order[0]], ps[order[1]])
+		if got := encode(ps[order[1]]); got != before {
+			t.Fatalf("order %v: merging changed b:\n%s\n%s", order, before, got)
+		}
+		agg, _ = MergePartial(agg, ps[order[2]])
+		if got := encode(agg); want == "" {
+			want = got
+		} else if got != want {
+			t.Fatalf("order %v: %s, first order %s", order, got, want)
+		}
+	}
+	// A first merge into the empty partial copies b, so folding more in
+	// leaves b untouched.
+	ps := parts()
+	before := encode(ps[2])
+	agg, _ := MergePartial(Partial{Complete: true}, ps[2])
+	agg, _ = MergePartial(agg, ps[1])
+	if got := encode(ps[2]); got != before {
+		t.Fatalf("folding into a copy of b changed b:\n%s\n%s", before, got)
+	}
+	a, b := mk(2, SourceRaw), mk(2, SourceRaw)
+	a.Top, b.Top = nil, nil
+	if n := testing.AllocsPerRun(20, func() { a, _ = MergePartial(a, b) }); n != 0 {
+		t.Errorf("merging known groups allocated %v times", n)
+	}
+	// AllocsPerRun merges once more than it counts: 1 + 21 partials.
+	if g := a.Groups["tioga"]; g.Series != 2*22 {
+		t.Errorf("tioga group after 21 merges holds %d series, want 44", g.Series)
 	}
 }

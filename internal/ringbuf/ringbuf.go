@@ -1,15 +1,15 @@
-// Package ringbuf implements the bounded circular buffer used by the
-// flux-power-monitor node agent (paper §III-A).
+// Package ringbuf implements a generic bounded circular buffer with
+// binary-searched window reads over a non-decreasing key. The
+// flux-power-monitor node agent keeps its downsampled archive tiers in
+// it, one bucket per slot, and the power manager each rank's recent cap
+// acknowledgements. (The agent's full-rate sample ring is a columnar
+// ring of its own in internal/core/powermon, which stores no pointers.)
 //
-// The node agent stores one power sample every sampling interval in a ring
-// of configurable size (the paper's default holds 100,000 Variorum JSON
-// samples, ~43.4 MB). That size is a bound, not a footprint: a ring's
-// backing array starts empty and doubles as elements arrive, clamped at
-// the capacity, so an agent that has sampled for an hour holds an hour of
-// samples. Once full, the ring wraps and the oldest samples are evicted;
-// a later job-telemetry query that reaches past the evicted region is
-// reported as a *partial* data set, which is exactly the completeness flag
-// the monitor's CSV output carries.
+// A ring's capacity is a bound, not a footprint: its backing array starts
+// empty and doubles as elements arrive, clamped at the capacity. Once
+// full, the ring wraps and evicts the oldest elements; a tier query that
+// reaches past the evicted region is reported as a *partial* data set,
+// the completeness flag the monitor's CSV output carries.
 package ringbuf
 
 import (
@@ -71,8 +71,7 @@ func (r *Ring[T]) Push(v T) (evictedOld bool) {
 // and returns how many evictions occurred. It is observationally
 // equivalent to calling Push on every element — same live elements, same
 // order, same Evicted count — but costs at most one growth and two copy
-// calls instead of one modulo-indexed store per element, which is what
-// makes bulk archive recovery (the tsdb store seeding a 100k ring) cheap.
+// calls instead of one modulo-indexed store per element.
 func (r *Ring[T]) PushAll(vs []T) (evicted int) {
 	k := len(vs)
 	if k == 0 {

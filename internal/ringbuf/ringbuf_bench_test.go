@@ -2,14 +2,14 @@ package ringbuf
 
 import "testing"
 
-// sample approximates the monitor's per-entry payload shape.
+// sample is a fixed-size record of nine float64s.
 type sample struct {
 	T    float64
 	Vals [8]float64
 }
 
-// BenchmarkRingBufferPush measures the monitor node-agent's hot path: one
-// push per sampling interval into the paper's 100,000-slot ring.
+// BenchmarkRingBufferPush measures Push into a 100,000-slot ring, the
+// paper's buffer size.
 func BenchmarkRingBufferPush(b *testing.B) {
 	r := New[sample](100_000)
 	b.ReportAllocs()
@@ -19,8 +19,8 @@ func BenchmarkRingBufferPush(b *testing.B) {
 	}
 }
 
-// BenchmarkRingBufferSelect measures the job-query path: a long job's
-// window (a quarter of the ring) selected out of a full ring.
+// BenchmarkRingBufferSelect measures a window query: a quarter of a
+// full ring selected out.
 func BenchmarkRingBufferSelect(b *testing.B) {
 	r := New[sample](100_000)
 	for i := 0; i < 100_000; i++ {

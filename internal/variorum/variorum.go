@@ -113,11 +113,12 @@ func (p NodePower) TotalGPUWatts() float64 {
 // document. This is the zero-serialization path the node agent uses on its
 // own node.
 //
-// The document's slices are retained by the caller (the monitor's ring
-// buffer holds them), so they need fresh memory every sample — but one
-// backing array, not one allocation per slice: the monitor samples every
-// rank every interval, and this is the hottest allocation site on that
-// path.
+// The document's slices may be retained by the caller (the durable
+// store's unsealed head holds them; the monitor's ring and published
+// sample events copy the values), so they need fresh memory every
+// sample — but one backing array, not one allocation per slice: the
+// monitor samples every rank every interval, and this is the hottest
+// allocation site on that path.
 func GetNodePower(n *hw.Node, now simtime.Time) NodePower {
 	cfg := n.Config()
 	sensors := 0
