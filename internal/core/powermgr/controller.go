@@ -171,7 +171,7 @@ func (m *Manager) handleObserve(req *broker.Request) {
 	m.mu.Lock()
 	resp := observeResponse{Rank: m.ctx.Rank(), NodeW: m.lastNodeW, LimitW: m.nodeLimitW}
 	m.mu.Unlock()
-	_ = req.Respond(resp)
+	_ = req.Respond(resp.payload())
 }
 
 // onControllerInterval starts one observation round: a concurrent
@@ -214,8 +214,7 @@ func (m *Manager) onControllerInterval(simtime.Time) {
 			var done bool
 			round.Lock()
 			if resp.Err() == nil {
-				var or observeResponse
-				if err := resp.Unmarshal(&or); err == nil && or.NodeW > 0 {
+				if or, err := parseObserve(resp); err == nil && or.NodeW > 0 {
 					round.obs[tg.jobID] = append(round.obs[tg.jobID], or.NodeW)
 				}
 			}

@@ -246,8 +246,9 @@ func (m *Manager) Init(ctx *broker.Context) error {
 		// finished loading before the RPCs arrive.
 		if m.cfg.Policy == PolicyStatic && m.cfg.StaticNodeCapW > 0 {
 			if _, err := ctx.After(time.Millisecond, func(simtime.Time) {
+				body := nodeLimitRequest{LimitW: m.cfg.StaticNodeCapW, Policy: PolicyStatic}.payload()
 				for rank := int32(0); rank < ctx.Size(); rank++ {
-					m.sendNodeLimit(rank, 0, m.cfg.StaticNodeCapW, PolicyStatic)
+					m.pushLimit(rank, body)
 				}
 			}); err != nil {
 				return err
@@ -320,8 +321,9 @@ func (m *Manager) onJobFinish(ev *msg.Message) {
 	m.mu.Unlock()
 
 	// Release caps on the finished job's nodes...
+	release := nodeLimitRequest{JobID: rec.ID, Policy: a.Policy}.payload()
 	for _, rank := range a.Ranks {
-		m.sendNodeLimit(rank, rec.ID, 0, a.Policy)
+		m.pushLimit(rank, release)
 	}
 	// ...and reclaim: remaining jobs get the freed power (Fig 5).
 	m.pushAll(push)
@@ -357,11 +359,14 @@ func (m *Manager) applyLocked(rows []ctlJob) []*Allocation {
 // (the allocation is already per-node) pushed to each node-level manager
 // over the TBON. All node RPCs are issued before any response is
 // awaited, so the push is one concurrent fan-out rather than N serial
-// round-trips; a slow or dead node only costs its own PushTimeout.
+// round-trips; a slow or dead node only costs its own PushTimeout. Each
+// job's body is encoded once and shared by all its ranks' requests:
+// payload bytes are immutable once sent.
 func (m *Manager) pushAll(push []*Allocation) {
 	for _, a := range push {
+		body := nodeLimitRequest{JobID: a.JobID, LimitW: a.PerNodeW, Policy: a.Policy}.payload()
 		for _, rank := range a.Ranks {
-			m.sendNodeLimit(rank, a.JobID, a.PerNodeW, a.Policy)
+			m.pushLimit(rank, body)
 		}
 	}
 }
@@ -384,16 +389,19 @@ type nodeLimitRequest struct {
 	Policy Policy  `json:"policy"`
 }
 
-// sendNodeLimit pushes one node's limit asynchronously. The returned
-// future resolves with the node's acknowledgement, an error response, or
-// a synthesized ETIMEDOUT after PushTimeout. Failures (e.g. capping
-// disabled on this architecture, or an unreachable node) are recorded in
-// the push diagnostics but are not fatal: telemetry keeps working, as on
-// Tioga.
+// sendNodeLimit pushes one node's limit asynchronously; see pushLimit.
 func (m *Manager) sendNodeLimit(rank int32, jobID uint64, limitW float64, policy Policy) *broker.Future {
-	f := m.ctx.RPCWithTimeout(rank, "power-manager.node.setlimit", nodeLimitRequest{
-		JobID: jobID, LimitW: limitW, Policy: policy,
-	}, m.cfg.PushTimeout)
+	return m.pushLimit(rank, nodeLimitRequest{JobID: jobID, LimitW: limitW, Policy: policy}.payload())
+}
+
+// pushLimit sends one node a setlimit body (a nodeLimitRequest's
+// payload) asynchronously. The returned future resolves with the node's
+// acknowledgement, an error response, or a synthesized ETIMEDOUT after
+// PushTimeout. Failures (e.g. capping disabled on this architecture, or
+// an unreachable node) are recorded in the push diagnostics but are not
+// fatal: telemetry keeps working, as on Tioga.
+func (m *Manager) pushLimit(rank int32, body any) *broker.Future {
+	f := m.ctx.RPCWithTimeout(rank, "power-manager.node.setlimit", body, m.cfg.PushTimeout)
 	f.Then(func(resp *msg.Message) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
@@ -567,8 +575,8 @@ func (m *Manager) handleNode(req *broker.Request) {
 }
 
 func (m *Manager) handleSetLimit(req *broker.Request) {
-	var body nodeLimitRequest
-	if err := req.Msg.Unmarshal(&body); err != nil {
+	body, err := parseNodeLimit(req.Msg)
+	if err != nil {
 		_ = req.Fail(msg.EINVAL, err.Error())
 		return
 	}
@@ -577,13 +585,13 @@ func (m *Manager) handleSetLimit(req *broker.Request) {
 		policy = m.cfg.Policy
 	}
 	m.mu.Lock()
-	err := m.enforceLocked(body.LimitW, policy)
+	err = m.enforceLocked(body.LimitW, policy)
 	m.mu.Unlock()
 	if err != nil {
 		_ = req.Fail(msg.EPERM, err.Error())
 		return
 	}
-	_ = req.Respond(setLimitAck{LimitW: body.LimitW, Rank: m.ctx.Rank()})
+	_ = req.Respond(setLimitAck{LimitW: body.LimitW, Rank: m.ctx.Rank()}.payload())
 }
 
 // setLimitAck acknowledges a node limit. Fields stay in alphabetical

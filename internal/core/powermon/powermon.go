@@ -172,6 +172,9 @@ type Module struct {
 	// storeSources labels the store's tier-log reads by period, built
 	// once when the store opens.
 	storeSources map[float64]string
+	// scratch holds the sample being recorded when there is no store
+	// (see sample).
+	scratch []float64
 }
 
 // New creates a monitor module.
@@ -254,28 +257,7 @@ func (m *Module) Init(ctx *broker.Context) error {
 			return err
 		}
 	}
-	if _, err := ctx.Every(m.cfg.SampleInterval, func(now simtime.Time) {
-		p := variorum.GetNodePower(node, now)
-		m.mu.Lock()
-		m.arch.push(p)
-		m.samples++
-		if m.store != nil {
-			// Same critical section as the archive push, so store and ring
-			// observe samples in the same order; errors after a simulated
-			// crash are expected and deliberately ignored.
-			_ = m.store.Append(p)
-		}
-		m.mu.Unlock()
-		// Publish outside the lock: event delivery is synchronous in the
-		// simulation and subscribers must not observe the module mid-push.
-		if m.cfg.PublishSamples {
-			_ = ctx.Publish(SampleEvent, SamplePayload{
-				Rank:     ctx.Rank(),
-				Hostname: node.Name(),
-				Sample:   p,
-			})
-		}
-	}); err != nil {
+	if _, err := ctx.Every(m.cfg.SampleInterval, func(now simtime.Time) { m.sample(node, now) }); err != nil {
 		return err
 	}
 	if err := ctx.RegisterService(query.FetchService, m.handleCollect); err != nil {
@@ -332,6 +314,41 @@ func (m *Module) Init(ctx *broker.Context) error {
 		m.mu.Unlock()
 	})
 	return nil
+}
+
+// sample reads the node's sensors once and records the reading in the
+// archive, the durable store if there is one, and a published event if
+// PublishSamples is set. Only the store keeps a sample's slices (its
+// unsealed head holds them): the archive copies the values and the
+// event is marshalled at once. So without a store the read goes into
+// the module's scratch buffer and a sample allocates nothing. The
+// sampling timer is the buffer's only user, and its ticks never overlap.
+func (m *Module) sample(node *hw.Node, now simtime.Time) {
+	var p variorum.NodePower
+	if m.store == nil {
+		p = variorum.GetNodePowerInto(node, now, &m.scratch)
+	} else {
+		p = variorum.GetNodePower(node, now)
+	}
+	m.mu.Lock()
+	m.arch.push(p)
+	m.samples++
+	if m.store != nil {
+		// Same critical section as the archive push, so store and ring
+		// observe samples in the same order; errors after a simulated
+		// crash are expected and deliberately ignored.
+		_ = m.store.Append(p)
+	}
+	m.mu.Unlock()
+	// Publish outside the lock: event delivery is synchronous in the
+	// simulation and subscribers must not observe the module mid-push.
+	if m.cfg.PublishSamples {
+		_ = m.ctx.Publish(SampleEvent, SamplePayload{
+			Rank:     m.ctx.Rank(),
+			Hostname: node.Name(),
+			Sample:   p,
+		})
+	}
 }
 
 // recoverFromStore seeds the in-memory archive from the durable store:

@@ -14,9 +14,9 @@ import (
 // (timestamp, shape index, 11 channel values) instead of a 152-byte
 // record, its strings and its slices' own allocation.
 //
-// Like ringbuf.Ring its columns start empty and double as rows arrive,
-// clamped at the capacity, and it is not safe for concurrent use: the
-// module's lock guards it.
+// Its columns start empty and double as rows arrive, clamped at the
+// capacity, and it is not safe for concurrent use: the module's lock
+// guards it.
 type rawRing struct {
 	// ts and shape hold one entry per slot, vals stride values per slot:
 	// NodeWatts, then the CPU, memory, GPU-socket and GPU-device groups

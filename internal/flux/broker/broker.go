@@ -639,7 +639,7 @@ func (b *Broker) RPCWithTimeout(nodeID int32, topic string, payload any, timeout
 }
 
 func (b *Broker) rpc(nodeID int32, topic string, payload any, timeout time.Duration) *Future {
-	f := &Future{b: b, topic: topic, nodeID: nodeID, done: make(chan struct{})}
+	f := &Future{b: b, topic: topic, nodeID: nodeID}
 	b.mu.Lock()
 	b.nextTag++
 	f.tag = b.nextTag

@@ -33,10 +33,13 @@ type Future struct {
 	topic  string
 	nodeID int32
 
-	done chan struct{}
-
-	mu        sync.Mutex
-	resolved  bool
+	mu sync.Mutex
+	// done is made only when someone must wait on it (Done, or a Wait
+	// that blocks), and closed by finish: a synchronous RPC that nothing
+	// waits on never allocates a channel.
+	done      chan struct{}
+	resolved  bool // an outcome is claimed
+	finished  bool // finish ran: Resolved is true and waiters wake
 	resp      *msg.Message
 	err       error
 	cbs       []ResponseHandler
@@ -46,27 +49,51 @@ type Future struct {
 
 // Done returns a channel closed when the future resolves. Select on it to
 // multiplex several RPCs.
-func (f *Future) Done() <-chan struct{} { return f.done }
+func (f *Future) Done() <-chan struct{} {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.doneLocked()
+}
+
+// doneLocked returns the done channel, making it on first use (closed
+// already if the future has finished). Caller holds f.mu.
+func (f *Future) doneLocked() chan struct{} {
+	if f.done == nil {
+		f.done = make(chan struct{})
+		if f.finished {
+			close(f.done)
+		}
+	}
+	return f.done
+}
 
 // Resolved reports whether the future has completed (without blocking).
 func (f *Future) Resolved() bool {
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
-	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.finished
 }
 
 // Result returns the outcome of a resolved future. Calling it before the
 // future resolves returns (nil, ErrNotResolved); use Wait or Done first.
 func (f *Future) Result() (*msg.Message, error) {
-	if !f.Resolved() {
-		return nil, ErrNotResolved
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if !f.finished {
+		return nil, ErrNotResolved
+	}
 	return f.resp, f.err
+}
+
+// waitChan returns nil once the future has finished, else the channel
+// to block on.
+func (f *Future) waitChan() <-chan struct{} {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.finished {
+		return nil
+	}
+	return f.doneLocked()
 }
 
 // Wait blocks until the future resolves or the wall-clock timeout passes,
@@ -89,6 +116,10 @@ func (f *Future) Wait(timeout time.Duration) (*msg.Message, error) {
 		}
 		return f.Result()
 	}
+	done := f.waitChan()
+	if done == nil {
+		return f.Result()
+	}
 	var expired <-chan time.Time
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
@@ -96,12 +127,16 @@ func (f *Future) Wait(timeout time.Duration) (*msg.Message, error) {
 		expired = t.C
 	}
 	select {
-	case <-f.done:
+	case <-done:
 	case <-expired:
 		// Backstop for futures without a broker-side deadline (or whose
 		// wheel tick has not come up yet): reclaim and time out here.
 		f.b.reclaim(f.tag)
 		f.expire()
+		// If a response or the wheel claimed the future first, its
+		// finish is under way: wait for it, so Result never reports a
+		// claimed future as unresolved.
+		<-done
 	}
 	return f.Result()
 }
@@ -124,8 +159,12 @@ func (f *Future) WaitContext(ctx context.Context) (*msg.Message, error) {
 		}
 		return f.Wait(0)
 	}
+	done := f.waitChan()
+	if done == nil {
+		return f.Result()
+	}
 	select {
-	case <-f.done:
+	case <-done:
 		return f.Result()
 	case <-ctx.Done():
 		f.Cancel()
@@ -220,7 +259,12 @@ func (f *Future) finish() {
 	if wheel != nil {
 		wheel.cancel(f, tick)
 	}
-	close(f.done)
+	f.mu.Lock()
+	f.finished = true
+	if f.done != nil {
+		close(f.done)
+	}
+	f.mu.Unlock()
 	for _, cb := range cbs {
 		cb(resp)
 	}

@@ -1,7 +1,9 @@
 package broker
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -313,5 +315,124 @@ func TestLiveGatherWaitsOnceForHungRanks(t *testing.T) {
 	}
 	if elapsed >= 2*timeout {
 		t.Fatalf("three hung ranks took %v at a %v timeout: the waits ran back to back", elapsed, timeout)
+	}
+}
+
+// TestLiveFutureWaitersRaceDeadline drives the lazily made done channel
+// under real concurrency: over TCP, a leaf answers some requests at
+// once, some long after their deadline and some just around it, so its
+// response and the deadline wheel race to resolve the same future while
+// goroutines wait on it through Done, Wait and WaitContext, and poll it.
+// Every waiter must wake exactly once with the one outcome the future
+// settled on, a Then callback must run exactly once, and Result must
+// never report a future Resolved says has completed as unresolved.
+func TestLiveFutureWaitersRaceDeadline(t *testing.T) {
+	li := newLive(t, 3, 2, nil)
+	if err := li.Broker(2).RegisterService("race.svc", func(req *Request) {
+		var body struct {
+			DelayMS int `json:"delay_ms"`
+		}
+		_ = req.Msg.Unmarshal(&body)
+		time.Sleep(time.Duration(body.DelayMS) * time.Millisecond)
+		_ = req.Respond(nil)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		rpcs    = 48
+		timeout = 50 * time.Millisecond
+	)
+	type outcome struct {
+		resp *msg.Message
+		err  error
+	}
+	var (
+		wg                sync.WaitGroup
+		answered, expired atomic.Int32
+		thens             []chan struct{}
+	)
+	for i := 0; i < rpcs; i++ {
+		delay := []int{0, 150, 40 + i%30}[i%3] // at once, late, or racing the deadline
+		f := li.Root().RPCWithTimeout(2, "race.svc", map[string]int{"delay_ms": delay}, timeout)
+		then := make(chan struct{}, 2) // room for a second run, so one shows instead of blocking
+		thens = append(thens, then)
+		f.Then(func(*msg.Message) { then <- struct{}{} })
+		wakes := make(chan outcome, 3)
+		wg.Add(5)
+		go func() {
+			defer wg.Done()
+			select {
+			case <-f.Done():
+			case <-time.After(5 * time.Second):
+				t.Error("Done never closed")
+				wakes <- outcome{}
+				return
+			}
+			if !f.Resolved() {
+				t.Error("Done closed on an unresolved future")
+			}
+			resp, err := f.Result()
+			wakes <- outcome{resp, err}
+		}()
+		go func() {
+			defer wg.Done()
+			resp, err := f.Wait(0)
+			wakes <- outcome{resp, err}
+		}()
+		go func() {
+			defer wg.Done()
+			resp, err := f.WaitContext(context.Background())
+			wakes <- outcome{resp, err}
+		}()
+		go func() {
+			defer wg.Done()
+			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+				resolved := f.Resolved()
+				if _, err := f.Result(); resolved && errors.Is(err, ErrNotResolved) {
+					t.Error("Result reports a resolved future as unresolved")
+					return
+				} else if resolved {
+					return
+				}
+				runtime.Gosched()
+			}
+			t.Error("future never resolved")
+		}()
+		go func() {
+			defer wg.Done()
+			first := <-wakes
+			for k := 1; k < 3; k++ {
+				if o := <-wakes; o != first {
+					t.Errorf("waiters disagree: %v / %v", o.err, first.err)
+				}
+			}
+			switch {
+			case first.err == nil && first.resp != nil:
+				answered.Add(1)
+			case errors.Is(first.err, ErrTimeout):
+				expired.Add(1)
+			default:
+				t.Errorf("future settled on %v", first.err)
+			}
+			select {
+			case <-f.Done(): // made after the future finished: already closed
+			default:
+				t.Error("a Done channel made after resolution is open")
+			}
+			select {
+			case <-then:
+			case <-time.After(5 * time.Second):
+				t.Error("Then callback never ran")
+			}
+		}()
+	}
+	wg.Wait()
+	for _, then := range thens {
+		if len(then) != 0 {
+			t.Fatal("a Then callback ran twice")
+		}
+	}
+	if answered.Load() == 0 || expired.Load() == 0 {
+		t.Fatalf("%d answered, %d expired: the race was not exercised", answered.Load(), expired.Load())
 	}
 }

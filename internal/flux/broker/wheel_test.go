@@ -99,8 +99,9 @@ func TestLiveWheelStressImmediateReplies(t *testing.T) {
 // rpcWithTimeoutLeafAllocs is the allocation count of one simulated
 // RPCWithTimeout from the root to a leaf one hop down, answered with a
 // small struct ack. It covers both encodes, the hops, the pending entry
-// and the future, and no deadline timer.
-const rpcWithTimeoutLeafAllocs = 9
+// and the future, and no deadline timer and no done channel: nothing
+// waits on a future a simulated RPC resolves before it returns.
+const rpcWithTimeoutLeafAllocs = 8
 
 func TestRPCWithTimeoutLeafAllocs(t *testing.T) {
 	type ack struct {

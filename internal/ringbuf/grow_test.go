@@ -137,3 +137,27 @@ func TestGrowAllocatesOnDemand(t *testing.T) {
 		t.Fatalf("full ring: backing array of %d, want 1000", len(r.buf))
 	}
 }
+
+// TestGrowSlackBound pins the growth step: while a ring grows, its
+// backing array never holds more than growSlack of its length in empty
+// slots, at most an eighth of the length or minGrowSlots, whichever is
+// more. Pushes and PushAll batches of every size are checked.
+func TestGrowSlackBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for _, capacity := range []int{1, 15, 16, 17, 100, 1000, 5000} {
+		r := New[int](capacity)
+		for r.Len() < capacity {
+			if rng.Intn(4) == 0 {
+				r.PushAll(make([]int, rng.Intn(capacity/4+2)))
+			} else {
+				r.Push(0)
+			}
+			if slack := max(r.Len()/8, minGrowSlots); len(r.buf) > r.Len()+slack {
+				t.Fatalf("cap %d: backing array of %d holds %d, more than %d empty slots", capacity, len(r.buf), r.Len(), slack)
+			}
+		}
+		if len(r.buf) != capacity {
+			t.Fatalf("cap %d: full ring has a backing array of %d", capacity, len(r.buf))
+		}
+	}
+}

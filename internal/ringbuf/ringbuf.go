@@ -6,10 +6,11 @@
 // ring of its own in internal/core/powermon, which stores no pointers.)
 //
 // A ring's capacity is a bound, not a footprint: its backing array starts
-// empty and doubles as elements arrive, clamped at the capacity. Once
-// full, the ring wraps and evicts the oldest elements; a tier query that
-// reaches past the evicted region is reported as a *partial* data set,
-// the completeness flag the monitor's CSV output carries.
+// empty and grows by an eighth as elements arrive, clamped at the
+// capacity. Once full, the ring wraps and evicts the oldest elements; a
+// tier query that reaches past the evicted region is reported as a
+// *partial* data set, the completeness flag the monitor's CSV output
+// carries.
 package ringbuf
 
 import (
@@ -41,12 +42,23 @@ func New[T any](capacity int) *Ring[T] {
 	return &Ring[T]{capacity: capacity}
 }
 
+// growSlack is the room grow adds beyond a backing array of n slots: an
+// eighth of it, and at least minGrowSlots (n itself while n is smaller,
+// so a small ring doubles). A large ring's footprint therefore tracks
+// what it holds within an eighth, where doubling could leave half the
+// array empty for as long as the ring takes to fill it.
+func growSlack(n int) int { return max(n/8, min(n, minGrowSlots)) }
+
+// minGrowSlots is the least grow adds to a ring of at least that many
+// slots, so mid-sized rings do not reallocate every few pushes.
+const minGrowSlots = 16
+
 // grow moves the live elements into a backing array of room for at least
-// need of them: double the current one, at most the capacity. It is only
-// called while the backing array is below capacity, so the ring has not
-// wrapped in it.
+// need of them: the current one plus its slack, at most the capacity. It
+// is only called while the backing array is below capacity, so the ring
+// has not wrapped in it.
 func (r *Ring[T]) grow(need int) {
-	buf := make([]T, min(max(need, 2*len(r.buf)), r.capacity))
+	buf := make([]T, min(max(need, len(r.buf)+growSlack(len(r.buf))), r.capacity))
 	copy(buf, r.buf[:r.length])
 	r.buf, r.head = buf, r.length
 }

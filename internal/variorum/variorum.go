@@ -113,13 +113,21 @@ func (p NodePower) TotalGPUWatts() float64 {
 // document. This is the zero-serialization path the node agent uses on its
 // own node.
 //
-// The document's slices may be retained by the caller (the durable
-// store's unsealed head holds them; the monitor's ring and published
-// sample events copy the values), so they need fresh memory every
-// sample — but one backing array, not one allocation per slice: the
-// monitor samples every rank every interval, and this is the hottest
-// allocation site on that path.
+// The document's slices are the caller's to keep (the durable store's
+// unsealed head holds them), so they get fresh memory every sample —
+// one backing array, not one allocation per slice. A caller that keeps
+// nothing samples through GetNodePowerInto instead.
 func GetNodePower(n *hw.Node, now simtime.Time) NodePower {
+	return GetNodePowerInto(n, now, nil)
+}
+
+// GetNodePowerInto is GetNodePower with the document's slices carved
+// from *scratch, a buffer the caller owns and passes again on the next
+// call: it is made or enlarged when too short, and otherwise reused, so
+// a steady-state sampler allocates nothing. The slices alias *scratch and
+// are overwritten by the next call. A nil scratch makes a fresh array,
+// as GetNodePower does.
+func GetNodePowerInto(n *hw.Node, now simtime.Time, scratch *[]float64) NodePower {
 	cfg := n.Config()
 	sensors := 0
 	if cfg.GPUs > 0 {
@@ -133,7 +141,17 @@ func GetNodePower(n *hw.Node, now simtime.Time) NodePower {
 	if sensors > 0 {
 		sgpuN = cfg.Sockets
 	}
-	buf := make([]float64, cfg.Sockets+sensors+memN+sgpuN)
+	need := cfg.Sockets + sensors + memN + sgpuN
+	var buf []float64
+	if scratch == nil || cap(*scratch) < need {
+		buf = make([]float64, need)
+		if scratch != nil {
+			*scratch = buf
+		}
+	} else {
+		buf = (*scratch)[:need]
+		clear(buf) // the per-socket GPU sums accumulate into it
+	}
 	var r hw.Reading
 	r.CPUW = buf[:cfg.Sockets:cfg.Sockets]
 	buf = buf[cfg.Sockets:]
